@@ -163,19 +163,6 @@ fn paper_cell(scale: f64) -> (String, Simulation) {
     ("PiCL/W0 x8 paper".to_owned(), sim)
 }
 
-/// Multi-lane variants of the paper cell: identical workload, decode fanned
-/// out to N lane threads. The differential check inside [`run_cell`] then
-/// enforces that laned decode reproduces the reference report bit-for-bit.
-fn lane_cells(scale: f64) -> Vec<(String, Simulation)> {
-    [2usize, 4]
-        .into_iter()
-        .map(|lanes| {
-            let (_, sim) = paper_cell(scale);
-            (format!("PiCL/W0 x8 lanes{lanes}"), sim.decode_lanes(lanes))
-        })
-        .collect()
-}
-
 /// Runs one cell on both paths, enforcing the differential check.
 fn run_cell(label: &str, sim: &Simulation) -> Result<CellResult, ArgError> {
     let timed = |reference: bool| -> Result<(RunReport, f64), ArgError> {
@@ -266,32 +253,18 @@ fn to_json(mode: &str, cells: &[CellResult], total_seconds: f64) -> String {
     out
 }
 
-/// Pulls `(label, events_per_sec)` pairs out of a committed bench JSON.
-///
-/// A full JSON parser is overkill for the one document this command
-/// itself emits: each cell object puts `events_per_sec` right after its
-/// `label`, so a linear scan recovers the pairs.
-fn committed_cells(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("\"label\": \"") {
-        let after = &rest[pos + "\"label\": \"".len()..];
-        let Some(end) = after.find('"') else { break };
-        let label = after[..end].to_owned();
-        let tail = &after[end..];
-        if let Some(vpos) = tail.find("\"events_per_sec\": ") {
-            let digits = &tail[vpos + "\"events_per_sec\": ".len()..];
-            let number: String = digits
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-                .collect();
-            if let Ok(value) = number.parse::<f64>() {
-                out.push((label, value));
-            }
-        }
-        rest = tail;
-    }
-    out
+/// `(label, events_per_sec)` for every cell of a bench document that
+/// reports a rate.
+fn committed_cells(doc: &Value) -> Vec<(String, f64)> {
+    doc.get("cells")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|cell| {
+            let label = cell.get("label")?.as_str()?;
+            Some((label.to_owned(), cell.get("events_per_sec")?.as_f64()?))
+        })
+        .collect()
 }
 
 /// Fails if this run's events/sec regressed more than 20% (geometric mean
@@ -299,13 +272,14 @@ fn committed_cells(json: &str) -> Vec<(String, f64)> {
 fn check_regression(path: &str, cells: &[CellResult]) -> Result<(), ArgError> {
     let committed =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    validate_json(&committed).map_err(|e| ArgError(format!("{path} is not valid JSON: {e}")))?;
-    if !committed.contains("\"schema\": \"picl-bench-v1\"") {
+    let doc =
+        Value::parse(&committed).map_err(|e| ArgError(format!("{path} is not valid JSON: {e}")))?;
+    if doc.get("schema").and_then(Value::as_str) != Some("picl-bench-v1") {
         return Err(ArgError(format!(
             "{path} does not declare the picl-bench-v1 schema"
         )));
     }
-    let baseline = committed_cells(&committed);
+    let baseline = committed_cells(&doc);
     let mut log_ratio_sum = 0.0;
     let mut matched = 0usize;
     for cell in cells {
@@ -360,7 +334,6 @@ pub fn cmd_bench(args: &Args) -> Result<(), ArgError> {
     let mut matrix = quick_cells(scale);
     if !quick {
         matrix.push(paper_cell(scale));
-        matrix.extend(lane_cells(scale));
     }
     let bench_cells: Vec<BenchCell> = matrix
         .into_iter()
@@ -441,7 +414,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn committed_cells_scan_recovers_pairs() {
+    fn committed_cells_recovers_pairs() {
         let json = to_json(
             "quick",
             &[
@@ -469,10 +442,21 @@ mod tests {
             1.0,
         );
         validate_json(&json).unwrap();
-        let cells = committed_cells(&json);
+        let cells = committed_cells(&Value::parse(&json).unwrap());
         assert_eq!(
             cells,
             vec![("A/x x1".to_owned(), 1000.0), ("B/y x2".to_owned(), 2000.0)]
+        );
+
+        // A cell without a rate is skipped; its label must not pick up
+        // the next cell's value.
+        let gappy = r#"{"schema": "picl-bench-v1", "cells": [
+            {"label": "A/x x1", "identical": true},
+            {"label": "B/y x2", "events_per_sec": 2000.0}
+        ]}"#;
+        assert_eq!(
+            committed_cells(&Value::parse(gappy).unwrap()),
+            vec![("B/y x2".to_owned(), 2000.0)]
         );
     }
 

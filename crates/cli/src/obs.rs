@@ -11,8 +11,9 @@
 //!   histogram percentiles.
 //! - `diff` — what changed between two flight snapshots: counter
 //!   deltas, gauge movement, histogram growth.
-//! - `overhead` — A/B the serving stack with metrics off vs on (same
-//!   seeded load, alternating paired rounds) and fail if the
+//! - `overhead` — A/B the serving stack with its opt-in per-op timers
+//!   and registry attachment off vs on (the always-on counters run in
+//!   both arms; same seeded load, alternating paired rounds) and fail if the
 //!   instrumented side spends more than `--budget-pct` extra
 //!   session-thread CPU, with a sign-test guard so a single weather
 //!   burst on a shared runner cannot fail the gate. CI runs this as
@@ -357,9 +358,8 @@ fn overhead_pass(
         spec.sessions,
     )
     .map_err(|e| ArgError(format!("open store: {e}")))?;
-    let registry = with_obs.then(MetricsRegistry::new);
-    if let Some(reg) = &registry {
-        kv.enable_obs(reg);
+    if with_obs {
+        kv.enable_obs(&MetricsRegistry::new());
     }
     preload(&kv, spec).map_err(|e| ArgError(format!("preload: {e}")))?;
     let report = run_load(&kv, spec).map_err(|e| ArgError(format!("load: {e}")))?;

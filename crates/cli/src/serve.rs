@@ -26,14 +26,12 @@ use std::time::Instant;
 use picl_campaign::json::Value;
 use picl_campaign::{run_cells, CellPayload};
 use picl_crashlab::run_serve_campaign;
-use picl_obs::SnapValue;
 use picl_serve::{
     preload, run_load, session_ops, Arrival, Backend, FsyncKv, LoadReport, LoadSpec, MixPreset,
     ServeKv,
 };
 use picl_store::workload::Op;
 use picl_store::{EngineConfig, FileMedium, Geometry, StoreError, UNDO_BUFFER_ENTRIES};
-use picl_telemetry::export::jsonl_to_string;
 use picl_telemetry::json::validate_json;
 use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
@@ -191,16 +189,15 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
             report.recovery_ns as f64 / 1e6
         );
     }
-    // Metrics are opt-in: without either flag the serving layer keeps
-    // its zero-instrumentation fast path.
-    let registry = (args.get("metrics-addr").is_some() || args.get("flight-recorder").is_some())
-        .then(picl_obs::MetricsRegistry::new);
-    if let Some(reg) = &registry {
-        kv.enable_obs(reg);
+    // The store's counters run either way; exposing them also switches
+    // on the sampled per-op timers.
+    let registry = kv.engine().registry().clone();
+    if args.get("metrics-addr").is_some() || args.get("flight-recorder").is_some() {
+        kv.enable_obs(&registry);
     }
-    let metrics_server = match (args.get("metrics-addr"), &registry) {
-        (Some(addr), Some(reg)) => {
-            let srv = picl_obs::MetricsServer::spawn(reg.clone(), addr)
+    let metrics_server = match args.get("metrics-addr") {
+        Some(addr) => {
+            let srv = picl_obs::MetricsServer::spawn(registry.clone(), addr)
                 .map_err(|e| ArgError(format!("metrics server on {addr}: {e}")))?;
             // Flushed so a parent process (CI, the docs walkthrough) can
             // discover the port when `--metrics-addr host:0` was given.
@@ -210,16 +207,16 @@ fn serve_run(args: &Args) -> Result<(), ArgError> {
             drop(stdout);
             Some(srv)
         }
-        _ => None,
+        None => None,
     };
-    let flight = match (args.get("flight-recorder"), &registry) {
-        (Some(fpath), Some(reg)) => {
+    let flight = match args.get("flight-recorder") {
+        Some(fpath) => {
             let mut rc = picl_obs::RecorderConfig::new(fpath);
             rc.interval =
                 std::time::Duration::from_millis(args.count_or("flight-interval-ms", 50)?);
             rc.max_bytes = args.count_or("flight-max-kb", 256)?.max(1) * 1024;
             rc.max_files = args.count_or("flight-max-files", 3)?.max(1) as usize;
-            let recorder = picl_obs::FlightRecorder::spawn(reg.clone(), rc)
+            let recorder = picl_obs::FlightRecorder::spawn(registry.clone(), rc)
                 .map_err(|e| ArgError(format!("flight recorder {fpath}: {e}")))?;
             Some(recorder)
         }
@@ -503,8 +500,9 @@ pub(crate) fn store_run_threads(args: &Args, threads: usize) -> Result<(), ArgEr
 // picl ycsb
 // ---------------------------------------------------------------------------
 
-/// Registry-derived operator summary of one PiCL cell (absent for the
-/// fsync baseline, which runs without the instrumented serving layer).
+/// Registry-derived operator summary of one PiCL cell's timed phase
+/// (absent for the fsync baseline, which runs without the instrumented
+/// serving layer).
 #[derive(Debug, Clone)]
 struct ObsSummary {
     /// Get sojourn percentiles in microseconds, merged across the
@@ -518,11 +516,12 @@ struct ObsSummary {
     put_p999_us: f64,
     /// Gets that fell back to the serialized read path.
     contended_gets: u64,
-    /// Multi-shard mutations that escalated to lock-all.
+    /// Timed-phase mutations that escalated to lock-all.
     escalations: u64,
     /// Escalations per timed shard mutation.
     escalation_rate: f64,
-    /// Background persister drain cycles observed.
+    /// Background persister drain cycles in the timed phase (and the
+    /// final commit's).
     persister_cycles: u64,
     persister_cycle_p99_ms: f64,
     /// Persist fences issued (epoch batches + superblock updates).
@@ -574,23 +573,11 @@ impl ObsSummary {
     }
 }
 
-/// Builds the [`ObsSummary`] from a cell's final registry snapshot.
+/// Builds the [`ObsSummary`] from the registry's timed-phase difference.
 fn obs_summary(snap: &picl_obs::Snapshot) -> ObsSummary {
     // Merge one op's outcome label sets (hit/miss/contended, or
     // ok/escalated) into a single per-op sojourn distribution.
-    let merged_op = |op: &str| {
-        let mut h = Histogram::new();
-        for e in &snap.entries {
-            if e.name == "picl_serve_op_sojourn_ns"
-                && e.labels.iter().any(|(k, v)| k == "op" && v == op)
-            {
-                if let SnapValue::Histogram(part) = &e.value {
-                    h.merge(part);
-                }
-            }
-        }
-        h
-    };
+    let merged_op = |op: &str| snap.merged_histogram("picl_serve_op_sojourn_ns", &[("op", op)]);
     let get = merged_op("get");
     let put = merged_op("put");
     let us = |h: &Histogram, p: f64| h.percentile_defined(p) / 1e3;
@@ -866,15 +853,26 @@ impl YcsbCell {
     }
 
     fn run_picl(&self) -> Result<YcsbResult, ArgError> {
-        // Size the event ring so a smoke-scale run audits without drops;
-        // a big run may overflow it, which the report calls out via
-        // audit_dropped (the auditor's verdict is then inconclusive, not
-        // clean — violations are still violations either way).
-        let total_ops = self.spec.keys + self.spec.ops_per_session * self.spec.sessions as u64;
-        let ring = usize::try_from((total_ops * 10).next_power_of_two())
-            .unwrap_or(1 << 22)
-            .clamp(1 << 12, 1 << 22);
+        // The audit taps every event as it is recorded, so the ring only
+        // matters for `--telemetry` export: sized there so a smoke-scale
+        // export carries the whole stream, and minimal otherwise.
+        let ring = if self.telemetry_prefix.is_some() {
+            let total_ops = self.spec.keys + self.spec.ops_per_session * self.spec.sessions as u64;
+            usize::try_from((total_ops * 10).next_power_of_two())
+                .unwrap_or(1 << 22)
+                .clamp(1 << 12, 1 << 22)
+        } else {
+            64
+        };
         let telemetry = Telemetry::new(0, ring);
+        // Audit the event stream online, from before open: the benchmark
+        // only counts if the protocol invariants held under concurrency.
+        let audit = picl_audit::AuditHandle::attach(
+            &telemetry,
+            picl_audit::AuditConfig {
+                acs_gap: Some(self.cfg.window),
+            },
+        );
         let geometry = Geometry {
             lines: self.cfg.lines,
             log_blocks: self.cfg.log_blocks,
@@ -899,6 +897,13 @@ impl YcsbCell {
         let preload_started = Instant::now();
         preload(&kv, &self.spec).map_err(|e| ArgError(format!("preload: {e}")))?;
         let preload_s = preload_started.elapsed().as_secs_f64();
+        // The store counts from open; the obs section covers the timed
+        // phase only, so mark the registry once preload's epochs are
+        // persisted.
+        kv.engine()
+            .drain_persister()
+            .map_err(|e| ArgError(format!("preload: {e}")))?;
+        let preloaded = registry.snapshot();
 
         let report = run_load(&kv, &self.spec).map_err(|e| ArgError(format!("load: {e}")))?;
         kv.commit()
@@ -906,21 +911,9 @@ impl YcsbCell {
         let stalls = kv.commit_stalls();
         let shards = kv.shard_count();
         kv.close().map_err(|e| ArgError(format!("close: {e}")))?;
-
-        // Audit the event stream in-process: the benchmark only counts if
-        // the protocol invariants held under concurrency.
-        let snap = telemetry.snapshot();
-        let jsonl = jsonl_to_string(&snap);
-        let lines = picl_audit::parse_trace(&jsonl)
-            .map_err(|e| ArgError(format!("exported stream unparsable: {e}")))?;
-        let audit = picl_audit::audit_trace(
-            &lines,
-            picl_audit::AuditConfig {
-                acs_gap: Some(self.cfg.window),
-            },
-        );
+        let audit = audit.report();
         if let Some(prefix) = &self.telemetry_prefix {
-            crate::commands::export_telemetry(prefix, &snap)?;
+            crate::commands::export_telemetry(prefix, &telemetry.snapshot())?;
         }
 
         let (p50_us, p99_us, p999_us) = percentiles_us(&report);
@@ -940,12 +933,12 @@ impl YcsbCell {
             p999_us,
             commit_stall_p99_ns: stalls.percentile_interpolated(99.0).unwrap_or(0.0),
             shards,
-            audit_events: snap.events.len() as u64,
-            audit_dropped: snap.dropped,
+            audit_events: audit.events_seen,
+            audit_dropped: audit.dropped,
             audit_violations: audit.violations.len() as u64,
             // Snapshot after close so the persister's final drain cycles
             // and fence counts are included.
-            obs: Some(obs_summary(&registry.snapshot())),
+            obs: Some(obs_summary(&registry.snapshot().since(&preloaded))),
             tenants: tenant_rows(&report),
         })
     }
@@ -1379,6 +1372,33 @@ mod tests {
             assert_eq!(decoded.tenants.len(), decoded.sessions, "{json}");
             let tenant_ops: u64 = decoded.tenants.iter().map(|t| t.reads + t.updates).sum();
             assert_eq!(tenant_ops, decoded.ops, "{json}");
+        }
+        let _ = std::fs::remove_file(&out);
+    }
+
+    #[test]
+    fn ycsb_obs_counts_only_the_timed_phase() {
+        // Mix C is read-only: preload does every mutation, escalation and
+        // persist cycle but the final commit's.
+        let store = temp_path("ycsb-mix-c").display().to_string();
+        let out = temp_path("ycsb-mix-c.json");
+        let flags = "--sessions 2 --ops 2k --keys 2k --value-bytes 72 --mix c";
+        let mut raw = vec!["ycsb", "--path", &store];
+        let out_s = out.display().to_string();
+        raw.extend(flags.split(' ').chain(["--out", &out_s]));
+        cmd_ycsb(&parse(&raw)).unwrap();
+        let json = std::fs::read_to_string(&out).unwrap();
+        let doc = Value::parse(&json).unwrap();
+        for cell in doc.get("cells").and_then(Value::as_arr).unwrap() {
+            let cell = YcsbResult::decode(cell).unwrap();
+            assert_eq!(cell.updates, 0, "{json}");
+            assert!(cell.audit_events > 0, "{json}");
+            let obs = cell.obs.unwrap();
+            assert_eq!(obs.escalations, 0, "{json}");
+            // The final commit persists one empty epoch: one cycle, its
+            // line-batch fence and its superblock fence.
+            assert!(obs.persister_cycles <= 1, "{json}");
+            assert!(obs.fences <= 2, "{json}");
         }
         let _ = std::fs::remove_file(&out);
     }

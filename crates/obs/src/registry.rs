@@ -171,6 +171,7 @@ impl Instrument {
     }
 }
 
+#[derive(Clone)]
 struct Entry {
     name: String,
     labels: Vec<(String, String)>,
@@ -199,6 +200,28 @@ fn valid_name(s: &str) -> bool {
         && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
+/// Adds `entry` unless its `(name, labels)` series exists, returning
+/// the instrument the series now holds.
+fn insert(entries: &mut Vec<Entry>, entry: Entry) -> Instrument {
+    for e in entries.iter() {
+        if e.name == entry.name {
+            assert!(
+                e.instrument.kind() == entry.instrument.kind(),
+                "metric {} registered as both {} and {}",
+                e.name,
+                e.instrument.kind(),
+                entry.instrument.kind()
+            );
+            if e.labels == entry.labels {
+                return e.instrument.clone();
+            }
+        }
+    }
+    let instrument = entry.instrument.clone();
+    entries.push(entry);
+    instrument
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -221,28 +244,33 @@ impl MetricsRegistry {
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
         labels.sort();
-        let mut entries = self.inner.lock().expect("metrics registry poisoned");
-        let fresh = make();
-        for e in entries.iter() {
-            if e.name == name {
-                assert!(
-                    e.instrument.kind() == fresh.kind(),
-                    "metric {name} registered as both {} and {}",
-                    e.instrument.kind(),
-                    fresh.kind()
-                );
-                if e.labels == labels {
-                    return e.instrument.clone();
-                }
-            }
-        }
-        entries.push(Entry {
+        let entry = Entry {
             name: name.to_string(),
             labels,
             help: help.to_string(),
-            instrument: fresh.clone(),
-        });
-        fresh
+            instrument: make(),
+        };
+        insert(&mut self.entries(), entry)
+    }
+
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
+        self.inner.lock().expect("metrics registry poisoned")
+    }
+
+    /// Shares every series of `other` into this registry, so a value
+    /// recorded through either registry's handles shows in both. Follows
+    /// the registration rule: a `(name, labels)` series already present
+    /// here is kept as it is, and a name held here as a different
+    /// instrument kind panics.
+    pub fn adopt(&self, other: &MetricsRegistry) {
+        // Copy first, then insert: never hold both locks, so two
+        // registries adopting each other cannot deadlock (and adopting
+        // oneself is a no-op).
+        let theirs = other.entries().clone();
+        let mut entries = self.entries();
+        for entry in theirs {
+            insert(&mut entries, entry);
+        }
     }
 
     /// Registers (or retrieves) a counter.
@@ -273,8 +301,8 @@ impl MetricsRegistry {
     /// `(name, labels)` so renderings are stable. Safe to call from any
     /// thread at any rate; writers are never blocked.
     pub fn snapshot(&self) -> Snapshot {
-        let entries = self.inner.lock().expect("metrics registry poisoned");
-        let mut out: Vec<SnapEntry> = entries
+        let mut out: Vec<SnapEntry> = self
+            .entries()
             .iter()
             .map(|e| SnapEntry {
                 name: e.name.clone(),
@@ -389,16 +417,73 @@ impl Snapshot {
         }
     }
 
-    /// All label sets of `name` merged into one histogram.
-    pub fn merged_histogram(&self, name: &str) -> Histogram {
+    /// What was recorded between `earlier` and this snapshot of the same
+    /// registry: counters and histograms keep only the difference, gauges
+    /// keep this snapshot's value, and a series `earlier` lacks counts
+    /// from zero.
+    #[must_use]
+    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
+        let entries = self
+            .entries
+            .iter()
+            .map(|e| {
+                let before = earlier
+                    .entries
+                    .iter()
+                    .find(|b| b.name == e.name && b.labels == e.labels);
+                let value = match (&e.value, before.map(|b| &b.value)) {
+                    (SnapValue::Counter(now), Some(SnapValue::Counter(was))) => {
+                        SnapValue::Counter(now.saturating_sub(*was))
+                    }
+                    (SnapValue::Histogram(now), Some(SnapValue::Histogram(was))) => {
+                        SnapValue::Histogram(Box::new(histogram_since(now, was)))
+                    }
+                    (value, _) => value.clone(),
+                };
+                SnapEntry { value, ..e.clone() }
+            })
+            .collect();
+        Snapshot { entries }
+    }
+
+    /// Every series of `name` whose labels include all of `labels`,
+    /// merged into one histogram.
+    pub fn merged_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let mut out = Histogram::new();
-        for e in self.entries.iter().filter(|e| e.name == name) {
+        let matches = |e: &&SnapEntry| {
+            e.name == name
+                && labels
+                    .iter()
+                    .all(|&(k, v)| e.labels.iter().any(|(ek, ev)| ek == k && ev == v))
+        };
+        for e in self.entries.iter().filter(matches) {
             if let SnapValue::Histogram(h) = &e.value {
                 out.merge(h);
             }
         }
         out
     }
+}
+
+/// `now - was` for a histogram that only grew in between. The exact
+/// maximum of the difference is not known; the top bucket's upper bound,
+/// capped by `now`'s maximum, stands in for it.
+fn histogram_since(now: &Histogram, was: &Histogram) -> Histogram {
+    let earlier: Vec<(u64, u64)> = was.nonzero_buckets().collect();
+    let buckets: Vec<(u64, u64)> = now
+        .nonzero_buckets()
+        .map(|(bound, n)| {
+            let had = earlier.iter().find(|b| b.0 == bound).map_or(0, |b| b.1);
+            (bound, n.saturating_sub(had))
+        })
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let count = buckets.iter().map(|&(_, n)| n).sum();
+    let max = buckets
+        .last()
+        .map_or(0, |&(bound, _)| bound.min(now.max().unwrap_or(0)));
+    Histogram::from_saved(buckets, count, now.sum().saturating_sub(was.sum()), max)
+        .expect("bucket-wise difference is a valid histogram")
 }
 
 #[cfg(test)]
@@ -480,9 +565,73 @@ mod tests {
         let b = reg.histogram("op_ns", &[("op", "put")], "");
         a.record(10);
         b.record(1000);
-        let merged = reg.snapshot().merged_histogram("op_ns");
+        let merged = reg.snapshot().merged_histogram("op_ns", &[]);
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.max(), Some(1000));
+        let gets = reg.snapshot().merged_histogram("op_ns", &[("op", "get")]);
+        assert_eq!(gets.max(), Some(10));
+    }
+
+    #[test]
+    fn adopted_series_are_shared_and_adopting_again_changes_nothing() {
+        let home = MetricsRegistry::new();
+        let ops = home.counter("ops_total", &[("shard", "0")], "ops");
+        let scrape = MetricsRegistry::new();
+        scrape.gauge("mine", &[], "").set(7);
+        scrape.adopt(&home);
+        ops.add(3);
+        assert_eq!(
+            scrape.snapshot().counter("ops_total", &[("shard", "0")]),
+            Some(3)
+        );
+        // A handle registered on the adopting side is the same series.
+        scrape.counter("ops_total", &[("shard", "0")], "").inc();
+        assert_eq!(
+            home.snapshot().counter("ops_total", &[("shard", "0")]),
+            Some(4)
+        );
+        assert!(home.snapshot().gauge("mine", &[]).is_none());
+        scrape.adopt(&home);
+        scrape.adopt(&scrape);
+        let snap = scrape.snapshot();
+        assert_eq!(snap.entries.len(), 2);
+        assert_eq!(snap.counter("ops_total", &[("shard", "0")]), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as both")]
+    fn adopting_a_kind_clash_panics() {
+        let home = MetricsRegistry::new();
+        let _ = home.counter("x_total", &[], "");
+        let scrape = MetricsRegistry::new();
+        let _ = scrape.gauge("x_total", &[("shard", "1")], "");
+        scrape.adopt(&home);
+    }
+
+    #[test]
+    fn since_keeps_only_the_interval() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("ops_total", &[], "");
+        let g = reg.gauge("depth", &[], "");
+        let h = reg.histogram("lat_ns", &[], "");
+        c.add(5);
+        g.set(9);
+        h.record(10);
+        h.record(3000);
+        let before = reg.snapshot();
+        c.add(2);
+        g.set(4);
+        h.record(20);
+        reg.counter("late_total", &[], "").inc();
+        let delta = reg.snapshot().since(&before);
+        assert_eq!(delta.counter("ops_total", &[]), Some(2));
+        assert_eq!(delta.counter("late_total", &[]), Some(1));
+        assert_eq!(delta.gauge("depth", &[]), Some(4));
+        let lat = delta.histogram("lat_ns", &[]).unwrap();
+        assert_eq!((lat.count(), lat.sum()), (1, 20));
+        assert_eq!(lat.max(), Some(31), "capped at the top bucket's bound");
+        let none = reg.snapshot().since(&reg.snapshot());
+        assert_eq!(none.histogram("lat_ns", &[]).map(Histogram::count), Some(0));
     }
 
     #[test]

@@ -1,26 +1,29 @@
-//! Serving-layer observability: per-op sojourn histograms split by
-//! outcome, per-shard lock counters, and the group-commit leader's
-//! phase timings, registered into a [`picl_obs::MetricsRegistry`].
+//! Serving-layer observability: per-shard mutation and escalation
+//! counters, the group-commit stall and phase timings, and the opt-in
+//! per-op timers, registered into the engine's
+//! [`picl_obs::MetricsRegistry`] when [`crate::ServeKv`] opens.
 //!
-//! [`crate::ServeKv`] runs un-instrumented until
-//! [`crate::ServeKv::enable_obs`] attaches a `ServeObs`; every
-//! instrument touch on the hot path is gated on that `Option`, so the
-//! metrics-off cost is one branch per op.
+//! Counters and commit timings are always on: a counter bump is one
+//! relaxed `fetch_add` on a thread-striped cell, and the commit timings
+//! cost a few clock readings per epoch, not per op.
+//! [`crate::ServeKv::shard_mutation_counts`],
+//! [`crate::ServeKv::escalation_count`] and
+//! [`crate::ServeKv::commit_stalls`] read these instruments.
 //!
-//! The *timers* (sojourn and lock wait/hold) run on a 1-in-N sample
-//! ([`DEFAULT_SAMPLE_EVERY`]): timing an op costs several cycle-counter
-//! readings plus histogram records, and on a saturated box paying that
-//! on every op is a measurable throughput tax, while a uniform sample
-//! estimates the same distributions. The semantic *counters* (per-shard
-//! ops, escalations) stay exact on every op, so rates like
-//! escalations-per-op are true counts; the lock-hold counter scales each
-//! sampled reading by N so its total stays an unbiased estimate. The
-//! sample rate is published as `picl_serve_timing_sample_every` so
+//! Only the per-op *timers* (sojourn, shard-lock wait and hold) are
+//! opt-in, switched on by [`crate::ServeKv::enable_obs`]. They run on a
+//! 1-in-N sample ([`DEFAULT_SAMPLE_EVERY`]): timing an op costs several
+//! cycle-counter readings plus histogram records, and on a saturated box
+//! paying that on every op is a measurable throughput tax, while a
+//! uniform sample estimates the same distributions. The lock-hold
+//! counter scales each sampled reading by N so its total stays an
+//! unbiased estimate. The sample rate is published as
+//! `picl_serve_timing_sample_every` (0 while the timers are off) so
 //! consumers can scale sampled histogram *counts* back to op counts.
 
 use std::cell::Cell;
 
-use picl_obs::{Counter, Histo, MetricsRegistry, OpClock};
+use picl_obs::{Counter, Gauge, Histo, MetricsRegistry, OpClock};
 
 /// Default timing-sample rate: one op in 8 is timed.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 8;
@@ -32,14 +35,44 @@ thread_local! {
     static TIMING_TICK: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Handles for every serving-layer instrument. One per [`crate::ServeKv`].
-pub struct ServeObs {
-    /// Cheap timestamps for the per-op timers below; an op takes up to
-    /// five readings, so they must not be `Instant::now` calls.
-    pub clock: OpClock,
+/// The switched-on per-op timers' clock and sample rate.
+struct Timing {
+    /// Cheap timestamps: an op takes up to five readings, so they must
+    /// not be `Instant::now` calls.
+    clock: OpClock,
     /// `sample_every - 1`; a power-of-two rate makes the per-op
     /// decision a mask test.
     sample_mask: u64,
+}
+
+/// A running per-op timer (see [`ServeObs::sample_timer`]).
+pub struct Stamp<'a> {
+    clock: &'a OpClock,
+    at: u64,
+}
+
+impl Stamp<'_> {
+    /// Nanoseconds since the stamp was taken (or last lapped).
+    #[must_use]
+    pub fn elapsed_ns(&self) -> u64 {
+        self.clock.elapsed_ns(self.at)
+    }
+
+    /// [`Stamp::elapsed_ns`], restarting the stamp from now.
+    pub fn lap(&mut self) -> u64 {
+        let now = self.clock.now();
+        let ns = self.clock.ns_between(self.at, now);
+        self.at = now;
+        ns
+    }
+}
+
+/// Handles for every serving-layer instrument. One per [`crate::ServeKv`].
+pub struct ServeObs {
+    /// The per-op timers; `None` until switched on.
+    timing: Option<Timing>,
+    /// `picl_serve_timing_sample_every`.
+    sample_every: Gauge,
     /// `picl_serve_op_sojourn_ns{op="get",outcome="hit"}`.
     pub get_hit: Histo,
     /// `picl_serve_op_sojourn_ns{op="get",outcome="miss"}`.
@@ -57,7 +90,7 @@ pub struct ServeObs {
     pub delete_deleted: Histo,
     /// `picl_serve_op_sojourn_ns{op="delete",outcome="missing"}`.
     pub delete_missing: Histo,
-    /// Mutations executed per key shard,
+    /// Mutations executed per key shard (summed, every mutation),
     /// `picl_serve_shard_ops_total{shard="i"}`.
     pub shard_ops: Vec<Counter>,
     /// Nanoseconds each shard's mutation lock was held,
@@ -70,6 +103,9 @@ pub struct ServeObs {
     /// Mutations that escalated to all shard locks,
     /// `picl_serve_escalations_total`.
     pub escalations: Counter,
+    /// Each epoch commit's cost to its leader (phase-one publish plus
+    /// any in-order-window wait), `picl_serve_commit_leader_ns`.
+    pub commit_leader_ns: Histo,
     /// Leader's phase-one boundary publish under every shard lock,
     /// `picl_serve_commit_publish_ns`.
     pub commit_publish_ns: Histo,
@@ -83,23 +119,8 @@ pub struct ServeObs {
 
 impl ServeObs {
     /// Registers the serving instrument set for a store with `shards`
-    /// key-shard locks, timing one op in `sample_every` (a power of
-    /// two; 1 times every op).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sample_every` is not a power of two.
-    pub fn register(reg: &MetricsRegistry, shards: usize, sample_every: u64) -> ServeObs {
-        assert!(
-            sample_every.is_power_of_two(),
-            "sample_every must be a power of two, got {sample_every}"
-        );
-        reg.gauge(
-            "picl_serve_timing_sample_every",
-            &[],
-            "One op in this many carries the sojourn and lock timers.",
-        )
-        .set(sample_every);
+    /// key-shard locks, with the per-op timers off.
+    pub fn register(reg: &MetricsRegistry, shards: usize) -> ServeObs {
         let sojourn = |op: &str, outcome: &str| {
             reg.histogram(
                 "picl_serve_op_sojourn_ns",
@@ -115,9 +136,14 @@ impl ServeObs {
                 })
                 .collect()
         };
+        let histogram = |name: &str, help: &str| reg.histogram(name, &[], help);
         ServeObs {
-            clock: OpClock::calibrate(),
-            sample_mask: sample_every - 1,
+            timing: None,
+            sample_every: reg.gauge(
+                "picl_serve_timing_sample_every",
+                &[],
+                "One op in this many carries the sojourn and lock timers (0: timers off).",
+            ),
             get_hit: sojourn("get", "hit"),
             get_miss: sojourn("get", "miss"),
             get_contended: sojourn("get", "contended"),
@@ -133,9 +159,8 @@ impl ServeObs {
                 "picl_serve_shard_lock_hold_ns_total",
                 "Nanoseconds each shard's mutation lock was held.",
             ),
-            shard_lock_wait_ns: reg.histogram(
+            shard_lock_wait_ns: histogram(
                 "picl_serve_shard_lock_wait_ns",
-                &[],
                 "Time mutators waited to acquire their key's shard lock.",
             ),
             escalations: reg.counter(
@@ -143,42 +168,66 @@ impl ServeObs {
                 &[],
                 "Mutations that escalated to all shard locks.",
             ),
-            commit_publish_ns: reg.histogram(
+            commit_leader_ns: histogram(
+                "picl_serve_commit_leader_ns",
+                "Each epoch commit's cost to its leader (publish plus any window wait).",
+            ),
+            commit_publish_ns: histogram(
                 "picl_serve_commit_publish_ns",
-                &[],
                 "Group-commit leader's phase-one publish under all shard locks.",
             ),
-            commit_window_ns: reg.histogram(
+            commit_window_ns: histogram(
                 "picl_serve_commit_window_ns",
-                &[],
                 "Group-commit leader's in-order-window stall (full window only).",
             ),
-            commit_ack_wait_ns: reg.histogram(
+            commit_ack_wait_ns: histogram(
                 "picl_serve_commit_ack_wait_ns",
-                &[],
                 "Group-commit leader's wait for its eid-ordered ack turn.",
             ),
         }
     }
 
+    /// Switches the per-op timers on, timing one op in `sample_every`
+    /// (a power of two; 1 times every op).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sample_every` is not a power of two.
+    pub fn start_timers(&mut self, sample_every: u64) {
+        assert!(
+            sample_every.is_power_of_two(),
+            "sample_every must be a power of two, got {sample_every}"
+        );
+        self.sample_every.set(sample_every);
+        self.timing = Some(Timing {
+            clock: OpClock::calibrate(),
+            sample_mask: sample_every - 1,
+        });
+    }
+
     /// Decides whether this op carries the timers, and starts them if
-    /// so. Unsampled ops pay one thread-local bump and a mask test.
+    /// so. With the timers off this is one branch; unsampled ops pay one
+    /// thread-local bump and a mask test.
     #[inline]
-    pub fn sample_timer(&self) -> Option<u64> {
+    pub fn sample_timer(&self) -> Option<Stamp<'_>> {
+        let timing = self.timing.as_ref()?;
         let tick = TIMING_TICK.with(|t| {
             let v = t.get();
             t.set(v.wrapping_add(1));
             v
         });
-        (tick & self.sample_mask == 0).then(|| self.clock.now())
+        (tick & timing.sample_mask == 0).then(|| Stamp {
+            clock: &timing.clock,
+            at: timing.clock.now(),
+        })
     }
 
-    /// The configured timing-sample rate: sampled histogram counts times
-    /// this estimate op counts, and sampled duration totals are already
-    /// scaled by it.
+    /// The timing-sample rate (0 while the timers are off): sampled
+    /// histogram counts times this estimate op counts, and sampled
+    /// duration totals are already scaled by it.
     #[inline]
     #[must_use]
     pub fn sample_every(&self) -> u64 {
-        self.sample_mask + 1
+        self.timing.as_ref().map_or(0, |t| t.sample_mask + 1)
     }
 }

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
+use picl_obs::Counter;
 use picl_store::engine::{Engine, EngineConfig, EngineStats, OpenReport, StoreError};
 use picl_store::kv::KvPairs;
 use picl_store::persist::PersistOps;
@@ -52,7 +53,7 @@ use picl_telemetry::Telemetry;
 use picl_types::stats::Histogram;
 use picl_types::LINE_BYTES;
 
-use crate::obs::ServeObs;
+use crate::obs::{ServeObs, Stamp};
 
 const LINE: usize = LINE_BYTES as usize;
 
@@ -133,9 +134,6 @@ pub struct ServeKv {
     /// holds the shard of its key's home line; cross-shard claims
     /// escalate to all locks in index order.
     shards: Vec<Mutex<()>>,
-    /// Striped mutation counters, one per shard (contention-free stats;
-    /// summed they equal total mutations executed).
-    shard_mutations: Vec<AtomicU64>,
     /// Global mutation clock; the writer that trips the epoch cadence
     /// leads the group commit.
     mutations: AtomicU64,
@@ -144,12 +142,8 @@ pub struct ServeKv {
     /// Preload clock value already flushed by [`Backend::end_preload`]
     /// (makes the boundary flush idempotent).
     preload_flushed: AtomicU64,
-    /// Mutations that needed every shard lock (cross-shard spanning
-    /// allocations and foreign-probe inserts).
-    escalations: AtomicU64,
     session_ops: Vec<AtomicU64>,
     commit_hook: Option<CommitHook>,
-    commit_stall_ns: Mutex<Histogram>,
     /// Highest epoch acknowledged through the commit hook. Leaders ack
     /// strictly in eid order, and only after their in-order-window wait:
     /// an acknowledged epoch is therefore always within `window` of the
@@ -157,10 +151,10 @@ pub struct ServeKv {
     /// streamed `commit <eid>` line to.
     acked: Mutex<u64>,
     acked_cv: Condvar,
-    /// Serving-layer instruments; `None` until [`ServeKv::enable_obs`].
-    /// Hot paths gate every timer and record on this option, so the
-    /// metrics-off cost is one branch per op.
-    obs: Option<Arc<ServeObs>>,
+    /// Serving-layer instruments, registered beside the engine's at open.
+    /// Boxed: every op reads these handles, so they stay off the cache
+    /// lines of the mutation clock every writer bumps.
+    obs: Box<ServeObs>,
 }
 
 impl std::fmt::Debug for ServeKv {
@@ -201,22 +195,20 @@ impl ServeKv {
         let (engine, report) = Engine::open(medium, cfg, telemetry)?;
         let shard_count = engine.image_shard_count();
         let (_, committed, _) = engine.frontiers();
+        let obs = Box::new(ServeObs::register(engine.registry(), shard_count));
         Ok((
             ServeKv {
                 engine,
                 mutations_per_epoch,
                 shards: (0..shard_count).map(|_| Mutex::new(())).collect(),
-                shard_mutations: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
                 mutations: AtomicU64::new(0),
                 preload_mutations: AtomicU64::new(0),
                 preload_flushed: AtomicU64::new(0),
-                escalations: AtomicU64::new(0),
                 session_ops: (0..sessions).map(|_| AtomicU64::new(0)).collect(),
                 commit_hook: None,
-                commit_stall_ns: Mutex::new(Histogram::new()),
                 acked: Mutex::new(committed),
                 acked_cv: Condvar::new(),
-                obs: None,
+                obs,
             },
             report,
         ))
@@ -227,11 +219,10 @@ impl ServeKv {
         self.commit_hook = Some(hook);
     }
 
-    /// Attaches live metrics (before the store is shared): registers the
-    /// serving-layer instruments and the engine's persister/pipeline
-    /// instruments into `registry`. Per-op timers run on the default
-    /// 1-in-[`crate::obs::DEFAULT_SAMPLE_EVERY`] sample; counters are
-    /// exact.
+    /// Shares the store's instruments (engine and serving layer, counting
+    /// since open) into `registry` and switches on the per-op timers, on
+    /// the default 1-in-[`crate::obs::DEFAULT_SAMPLE_EVERY`] sample.
+    /// Call before the store is shared.
     pub fn enable_obs(&mut self, registry: &picl_obs::MetricsRegistry) {
         self.enable_obs_sampled(registry, crate::obs::DEFAULT_SAMPLE_EVERY);
     }
@@ -239,15 +230,12 @@ impl ServeKv {
     /// [`ServeKv::enable_obs`] with an explicit timing-sample rate
     /// (a power of two; 1 times every op — deterministic, for tests).
     pub fn enable_obs_sampled(&mut self, registry: &picl_obs::MetricsRegistry, every: u64) {
-        self.engine.enable_obs(registry);
-        self.obs = Some(Arc::new(ServeObs::register(
-            registry,
-            self.shards.len(),
-            every,
-        )));
+        self.obs.start_timers(every);
+        registry.adopt(self.engine.registry());
     }
 
-    /// The underlying engine (frontiers, stats).
+    /// The underlying engine (frontiers, stats, and the registry holding
+    /// every instrument of this store).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -259,15 +247,12 @@ impl ServeKv {
 
     /// Mutations executed per shard (striped counters, lock-free reads).
     pub fn shard_mutation_counts(&self) -> Vec<u64> {
-        self.shard_mutations
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+        self.obs.shard_ops.iter().map(Counter::value).collect()
     }
 
     /// Mutations that escalated to all shard locks.
     pub fn escalation_count(&self) -> u64 {
-        self.escalations.load(Ordering::Acquire)
+        self.obs.escalations.value()
     }
 
     /// Completed operations per session (monotone, lock-free reads).
@@ -283,10 +268,7 @@ impl ServeKv {
     /// tail of this histogram is the epoch-persist stall a writer can
     /// observe; followers never wait on it.
     pub fn commit_stalls(&self) -> Histogram {
-        self.commit_stall_ns
-            .lock()
-            .expect("stall histogram poisoned")
-            .clone()
+        self.obs.commit_leader_ns.snapshot()
     }
 
     fn bump(&self, session: usize) {
@@ -331,23 +313,19 @@ impl ServeKv {
     /// behind in-flight mutations (which followers no longer pay at
     /// all) and not the ack sequencing behind earlier leaders.
     fn lead_commit(&self) -> Result<u64, StoreError> {
-        let obs = self.obs.as_deref();
+        let obs = &self.obs;
         let (t0, ticket, counts) = {
             let _all = self.lock_all();
             let t0 = Instant::now();
             let ticket = self.engine.commit_epoch_async()?;
             let counts = self.commit_hook.is_some().then(|| self.session_counts());
-            if let Some(o) = obs {
-                o.commit_publish_ns.record(t0.elapsed().as_nanos() as u64);
-            }
+            obs.commit_publish_ns.record(t0.elapsed().as_nanos() as u64);
             (t0, ticket, counts)
         };
         let waited = if ticket.window_full {
             let w0 = Instant::now();
             let waited = self.engine.wait_window(ticket);
-            if let Some(o) = obs {
-                o.commit_window_ns.record(w0.elapsed().as_nanos() as u64);
-            }
+            obs.commit_window_ns.record(w0.elapsed().as_nanos() as u64);
             waited
         } else {
             Ok(())
@@ -356,14 +334,13 @@ impl ServeKv {
         {
             // Take the ack turn even on a dead engine — skipping it would
             // wedge every later leader behind a hole in the eid sequence.
-            let a0 = obs.map(|_| Instant::now());
+            let a0 = Instant::now();
             let mut acked = self.acked.lock().expect("ack sequencer poisoned");
             while *acked + 1 != ticket.eid {
                 acked = self.acked_cv.wait(acked).expect("ack sequencer poisoned");
             }
-            if let (Some(o), Some(a0)) = (obs, a0) {
-                o.commit_ack_wait_ns.record(a0.elapsed().as_nanos() as u64);
-            }
+            obs.commit_ack_wait_ns
+                .record(a0.elapsed().as_nanos() as u64);
             if waited.is_ok() {
                 if let (Some(hook), Some(counts)) = (&self.commit_hook, &counts) {
                     hook(ticket.eid, counts);
@@ -373,10 +350,7 @@ impl ServeKv {
             self.acked_cv.notify_all();
         }
         waited?;
-        self.commit_stall_ns
-            .lock()
-            .expect("stall histogram poisoned")
-            .record(ns);
+        obs.commit_leader_ns.record(ns);
         Ok(ticket.eid)
     }
 
@@ -403,15 +377,22 @@ impl ServeKv {
         op: impl Fn(&Engine, Option<(u32, u32)>) -> Result<Attempt<R>, StoreError>,
     ) -> Result<(R, bool), StoreError> {
         let shard = self.shard_of(key);
-        let obs = self.obs.as_deref();
+        let obs = &self.obs;
+        // Scaled by the sample rate, so the counter's total stays an
+        // unbiased hold-time estimate.
+        let note_hold = |held: Option<Stamp<'_>>| {
+            if let Some(h) = held {
+                obs.shard_lock_hold_ns[shard].add(h.elapsed_ns() * obs.sample_every());
+            }
+        };
         let (out, count, escalated) = {
             // One sampling decision covers the wait and hold timers, so
-            // a sampled mutation is timed end to end.
-            let waited = obs.and_then(ServeObs::sample_timer);
+            // a sampled mutation is timed end to end: the stamp times
+            // the lock wait, then restarts to time the hold.
+            let mut timer = obs.sample_timer();
             let guard = self.lock_shard(shard);
-            let held = waited.map(|_| obs.expect("sampled implies obs").clock.now());
-            if let (Some(o), Some(w), Some(h)) = (obs, waited, held) {
-                o.shard_lock_wait_ns.record(o.clock.ns_between(w, h));
+            if let Some(t) = &mut timer {
+                obs.shard_lock_wait_ns.record(t.lap());
             }
             match op(&self.engine, Some(self.engine.image_shard_span(shard)))? {
                 Attempt::Done(out) => {
@@ -420,18 +401,10 @@ impl ServeKv {
                     // whose leader-held snapshot observes the count —
                     // exactly the lower-bound property the crash oracle
                     // needs.
-                    self.shard_mutations[shard].fetch_add(1, Ordering::Relaxed);
+                    obs.shard_ops[shard].inc();
                     self.bump(session);
                     let count = clock.fetch_add(1, Ordering::AcqRel) + 1;
-                    if let Some(o) = obs {
-                        o.shard_ops[shard].inc();
-                        if let Some(h) = held {
-                            // Scaled by the sample rate, so the counter's
-                            // total stays an unbiased hold-time estimate.
-                            o.shard_lock_hold_ns[shard]
-                                .add(o.clock.elapsed_ns(h) * o.sample_every());
-                        }
-                    }
+                    note_hold(timer);
                     drop(guard);
                     (out, count, false)
                 }
@@ -441,25 +414,20 @@ impl ServeKv {
                     // order the leader uses.
                     drop(guard);
                     let all = self.lock_all();
-                    let held = waited.map(|_| obs.expect("sampled implies obs").clock.now());
-                    self.escalations.fetch_add(1, Ordering::Relaxed);
+                    if let Some(t) = &mut timer {
+                        t.lap();
+                    }
+                    obs.escalations.inc();
                     let out = match op(&self.engine, None)? {
                         Attempt::Done(out) => out,
                         Attempt::Escalate => {
                             unreachable!("unconfined mutations never escalate")
                         }
                     };
-                    self.shard_mutations[shard].fetch_add(1, Ordering::Relaxed);
+                    obs.shard_ops[shard].inc();
                     self.bump(session);
                     let count = clock.fetch_add(1, Ordering::AcqRel) + 1;
-                    if let Some(o) = obs {
-                        o.escalations.inc();
-                        o.shard_ops[shard].inc();
-                        if let Some(h) = held {
-                            o.shard_lock_hold_ns[shard]
-                                .add(o.clock.elapsed_ns(h) * o.sample_every());
-                        }
-                    }
+                    note_hold(timer);
                     drop(all);
                     (out, count, true)
                 }
@@ -536,47 +504,47 @@ fn lookup_with_fallback<L: Lines, G>(
 
 impl Backend for ServeKv {
     fn put(&self, session: usize, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let t0 = self.obs.as_deref().and_then(ServeObs::sample_timer);
+        let t0 = self.obs.sample_timer();
         let ((), escalated) = self.mutate(session, key, |engine, range| {
             Ok(match slots::put_within(engine, key, value, range)? {
                 Placement::Done(_) => Attempt::Done(()),
                 Placement::Escalate => Attempt::Escalate,
             })
         })?;
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
+        if let Some(t0) = t0 {
             let h = if escalated {
-                &obs.put_escalated
+                &self.obs.put_escalated
             } else {
-                &obs.put_ok
+                &self.obs.put_ok
             };
-            h.record(obs.clock.elapsed_ns(t0));
+            h.record(t0.elapsed_ns());
         }
         Ok(())
     }
 
     fn get(&self, session: usize, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let t0 = self.obs.as_deref().and_then(ServeObs::sample_timer);
+        let t0 = self.obs.sample_timer();
         // The key's shard lock excludes every writer that could mutate
         // this record (escalated writers hold all shards), so it is a
         // sufficient fallback guard.
         let (out, fell_back) =
             lookup_with_fallback(&self.engine, key, || self.lock_shard(self.shard_of(key)))?;
         self.bump(session);
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
+        if let Some(t0) = t0 {
             let h = if fell_back {
-                &obs.get_contended
+                &self.obs.get_contended
             } else if out.is_some() {
-                &obs.get_hit
+                &self.obs.get_hit
             } else {
-                &obs.get_miss
+                &self.obs.get_miss
             };
-            h.record(obs.clock.elapsed_ns(t0));
+            h.record(t0.elapsed_ns());
         }
         Ok(out)
     }
 
     fn delete(&self, session: usize, key: &[u8]) -> Result<bool, StoreError> {
-        let t0 = self.obs.as_deref().and_then(ServeObs::sample_timer);
+        let t0 = self.obs.sample_timer();
         let (deleted, _) = self.mutate(session, key, |engine, _| {
             // Deletes only tombstone lines the record already owns, which
             // is safe from any shard's critical section.
@@ -585,13 +553,13 @@ impl Backend for ServeKv {
                 Deletion::Deleted { .. }
             )))
         })?;
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
+        if let Some(t0) = t0 {
             let h = if deleted {
-                &obs.delete_deleted
+                &self.obs.delete_deleted
             } else {
-                &obs.delete_missing
+                &self.obs.delete_missing
             };
-            h.record(obs.clock.elapsed_ns(t0));
+            h.record(t0.elapsed_ns());
         }
         Ok(deleted)
     }
@@ -1026,6 +994,42 @@ mod tests {
                 .is_some_and(|h| h.count() >= 1),
             "the explicit commit led at least one group commit"
         );
+    }
+
+    #[test]
+    fn counters_run_from_open_and_carry_across_enable_obs() {
+        let (mut kv, _) = open_serve(2, 4);
+        let sojourns = |snap: &picl_obs::Snapshot| {
+            snap.merged_histogram("picl_serve_op_sojourn_ns", &[])
+                .count()
+        };
+        // No registry attached: the counters are exact already, and the
+        // per-op timers have not recorded anything.
+        for i in 0..5u32 {
+            kv.put(0, format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        assert!(kv.delete(1, b"k0").unwrap());
+        assert_eq!(kv.shard_mutation_counts().iter().sum::<u64>(), 6);
+        assert_eq!(kv.commit_stalls().count(), 1, "the 4th mutation led");
+        let home = kv.engine().registry().snapshot();
+        assert_eq!(home.counter_total("picl_serve_shard_ops_total"), 6);
+        assert_eq!(home.counter("picl_store_commits_total", &[]), Some(1));
+        assert_eq!(home.gauge("picl_serve_timing_sample_every", &[]), Some(0));
+        assert_eq!(sojourns(&home), 0);
+
+        let reg = picl_obs::MetricsRegistry::new();
+        kv.enable_obs_sampled(&reg, 1);
+        for i in 0..3u32 {
+            kv.put(1, format!("m{i}").as_bytes(), b"v").unwrap();
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_total("picl_serve_shard_ops_total"), 6 + 3);
+        assert_eq!(kv.shard_mutation_counts().iter().sum::<u64>(), 9);
+        assert_eq!(snap.gauge("picl_serve_timing_sample_every", &[]), Some(1));
+        assert_eq!(sojourns(&snap), 3);
+        let undo = snap.counter("picl_store_undo_entries_total", &[]);
+        assert_eq!(undo, Some(kv.engine().stats().undo_entries));
+        kv.close().unwrap();
     }
 
     #[test]

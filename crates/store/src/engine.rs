@@ -51,8 +51,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
+use picl_obs::MetricsRegistry;
 use picl_telemetry::{EventKind, Telemetry};
 use picl_types::hash::FastSet;
 use picl_types::{Cycle, EpochId, LineAddr, LINE_BYTES};
@@ -61,6 +62,7 @@ use crate::layout::{
     decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, UndoEntry, DATA_OFFSET,
     ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
 };
+use crate::obs::StoreObs;
 use crate::persist::PersistOps;
 
 const LINE: usize = LINE_BYTES as usize;
@@ -157,7 +159,8 @@ impl EngineConfig {
     }
 }
 
-/// Protocol counters, monotone over the engine's life.
+/// Protocol counters, monotone over the engine's life: a read-only view
+/// over the engine's [`StoreObs`] counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Undo entries appended (first-write-per-line-per-epoch).
@@ -268,6 +271,11 @@ impl ImageShards {
     }
 }
 
+/// The protocol state. Cache-line aligned: it is written under the
+/// mutex on every logged write, and must not share a line with the
+/// fields lock-free readers touch (image shards, the dead flag, the
+/// instrument handles).
+#[repr(align(64))]
 struct Inner {
     sys_eid: u64,
     committed: u64,
@@ -288,9 +296,33 @@ struct Inner {
     /// `(seq, max_valid_till)` of live log blocks, oldest first, for GC.
     live_blocks: VecDeque<(u64, u64)>,
     tick: u64,
-    stats: EngineStats,
     dead: Option<String>,
     shutdown: bool,
+}
+
+impl Inner {
+    /// Protocol state executing the epoch after persisted epoch `point`,
+    /// with an empty log and no tagged lines.
+    fn resume(point: u64, generation: u64, lines: u32, tick: u64) -> Inner {
+        Inner {
+            sys_eid: point + 1,
+            committed: point,
+            persisted: point,
+            generation,
+            floor: point,
+            tags: vec![0; lines as usize],
+            buffer: Vec::new(),
+            buffer_lines: FastSet::default(),
+            dirty_cur: FastSet::default(),
+            queue: VecDeque::new(),
+            log_head_seq: 0,
+            log_start_seq: 0,
+            live_blocks: VecDeque::new(),
+            tick,
+            dead: None,
+            shutdown: false,
+        }
+    }
 }
 
 struct Shared {
@@ -308,9 +340,8 @@ struct Shared {
     work: Condvar,
     /// Wakes writers (persist frontier advanced, log space freed, death).
     done: Condvar,
-    /// Observability instruments, attached at most once by
-    /// [`Engine::enable_obs`]. Hot paths pay one relaxed load when unset.
-    obs: OnceLock<crate::obs::StoreObs>,
+    /// The protocol counters and pipeline instruments.
+    obs: StoreObs,
 }
 
 impl Shared {
@@ -337,15 +368,15 @@ impl Shared {
     }
 
     /// Pushes the epoch-pipeline gauges from the protocol state. Called
-    /// at the boundaries that move them (commit, drain, persist cycle);
-    /// one relaxed load when obs is not attached.
+    /// at open and at the boundaries that move them (commit, drain,
+    /// persist cycle).
     fn publish_gauges(&self, st: &Inner) {
-        if let Some(obs) = self.obs.get() {
-            obs.open_epochs.set(st.sys_eid - st.persisted);
-            obs.window_occupancy.set(st.committed - st.persisted);
-            obs.undo_buffer_fill.set(st.buffer.len() as u64);
-            obs.log_blocks_live.set(st.log_head_seq - st.log_start_seq);
-        }
+        self.obs.open_epochs.set(st.sys_eid - st.persisted);
+        self.obs.window_occupancy.set(st.committed - st.persisted);
+        self.obs.undo_buffer_fill.set(st.buffer.len() as u64);
+        self.obs
+            .log_blocks_live
+            .set(st.log_head_seq - st.log_start_seq);
     }
 
     /// Drops dead log blocks off the front of the live window.
@@ -382,7 +413,7 @@ impl Shared {
                     forced,
                 },
             );
-            st.stats.drains += 1;
+            self.obs.drains.inc();
             return Ok(());
         }
         debug_assert!(entries.len() <= ENTRIES_PER_BLOCK);
@@ -402,11 +433,12 @@ impl Shared {
             .map_err(|e| self.die(st, e.to_string()))?;
         st.log_head_seq = seq + 1;
         st.live_blocks.push_back((seq, max_till));
-        st.stats.drains += 1;
+        self.obs.drains.inc();
         if forced {
-            st.stats.forced_drains += 1;
+            self.obs.forced_drains.inc();
         }
-        st.stats.log_blocks_written += 1;
+        self.obs.log_blocks_written.inc();
+        self.obs.fences.inc();
         self.emit(
             st,
             EventKind::UndoDrain {
@@ -415,12 +447,6 @@ impl Shared {
                 forced,
             },
         );
-        if let Some(obs) = self.obs.get() {
-            obs.fences.inc();
-            if forced {
-                obs.forced_drains.inc();
-            }
-        }
         self.publish_gauges(st);
         Ok(())
     }
@@ -488,11 +514,11 @@ impl Shared {
                                 hit: true,
                             },
                         );
-                        st.stats.bloom_hits += 1;
+                        self.obs.bloom_hits.inc();
                         self.drain(&mut st, true)?;
                     }
                     batch.push((line, self.image.read(line)));
-                    st.stats.line_writebacks += 1;
+                    self.obs.line_writebacks.inc();
                     self.emit(
                         &mut st,
                         EventKind::AcsLineWriteback {
@@ -538,7 +564,7 @@ impl Shared {
             return Err(self.die(&mut st, e.to_string()));
         }
         for (work, (lines, started)) in works.iter().zip(&spans) {
-            st.stats.persists += 1;
+            self.obs.persists.inc();
             self.emit(
                 &mut st,
                 EventKind::AcsScan {
@@ -555,15 +581,13 @@ impl Shared {
             );
         }
         self.gc(&mut st);
-        if let Some(obs) = self.obs.get() {
-            obs.cycle_ns
-                .record(cycle_started.elapsed().as_nanos() as u64);
-            obs.backlog_epochs.record(works.len() as u64);
-            obs.lines_written.add(batch.len() as u64);
-            // The line-batch fence plus the superblock fence (forced
-            // drains along the way count their own).
-            obs.fences.add(2);
-        }
+        self.obs
+            .cycle_ns
+            .record(cycle_started.elapsed().as_nanos() as u64);
+        self.obs.backlog_epochs.record(works.len() as u64);
+        // The line-batch fence plus the superblock fence (forced drains
+        // along the way count their own).
+        self.obs.fences.add(2);
         self.publish_gauges(&st);
         self.done.notify_all();
         Ok(())
@@ -597,6 +621,9 @@ impl Shared {
 /// a background persister. One per open store file.
 pub struct Engine {
     shared: Arc<Shared>,
+    /// Owns every engine instrument (and whatever layers above register
+    /// beside them).
+    registry: MetricsRegistry,
     persister: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -638,25 +665,7 @@ impl Engine {
                     geometry.total_len()
                 )));
             }
-            let inner = Inner {
-                sys_eid: 1,
-                committed: 0,
-                persisted: 0,
-                generation: 1,
-                floor: 0,
-                tags: vec![0; geometry.lines as usize],
-                buffer: Vec::new(),
-                buffer_lines: FastSet::default(),
-                dirty_cur: FastSet::default(),
-                queue: VecDeque::new(),
-                log_head_seq: 0,
-                log_start_seq: 0,
-                live_blocks: VecDeque::new(),
-                tick: 0,
-                stats: EngineStats::default(),
-                dead: None,
-                shutdown: false,
-            };
+            let inner = Inner::resume(0, 1, geometry.lines, 0);
             let sb = Superblock {
                 geometry,
                 persisted_eid: 0,
@@ -740,25 +749,7 @@ impl Engine {
                     entries: applied,
                 },
             );
-            let inner = Inner {
-                sys_eid: point + 1,
-                committed: point,
-                persisted: point,
-                generation: new_sb.generation,
-                floor: point,
-                tags: vec![0; geometry.lines as usize],
-                buffer: Vec::new(),
-                buffer_lines: FastSet::default(),
-                dirty_cur: FastSet::default(),
-                queue: VecDeque::new(),
-                log_head_seq: 0,
-                log_start_seq: 0,
-                live_blocks: VecDeque::new(),
-                tick,
-                stats: EngineStats::default(),
-                dead: None,
-                shutdown: false,
-            };
+            let inner = Inner::resume(point, new_sb.generation, geometry.lines, tick);
             let report = OpenReport {
                 recovered: true,
                 recovered_to: point,
@@ -773,6 +764,7 @@ impl Engine {
         };
         inner.tick += 1;
         telemetry.record(Cycle(inner.tick), None, begin);
+        let registry = MetricsRegistry::new();
         let shared = Arc::new(Shared {
             medium,
             geometry,
@@ -783,8 +775,9 @@ impl Engine {
             dead_flag: AtomicBool::new(false),
             work: Condvar::new(),
             done: Condvar::new(),
-            obs: OnceLock::new(),
+            obs: StoreObs::register(&registry),
         });
+        shared.publish_gauges(&shared.state.lock().expect("store engine poisoned"));
         let worker = Arc::clone(&shared);
         let persister = std::thread::Builder::new()
             .name("picl-store-persister".into())
@@ -793,6 +786,7 @@ impl Engine {
         Ok((
             Engine {
                 shared,
+                registry,
                 persister: Some(persister),
             },
             report,
@@ -864,7 +858,7 @@ impl Engine {
             st.buffer_lines.insert(line);
             st.tags[line as usize] = valid_till;
             st.dirty_cur.insert(line);
-            st.stats.undo_entries += 1;
+            self.shared.obs.undo_entries.inc();
             self.shared.emit(
                 &mut st,
                 EventKind::UndoEntryAppended {
@@ -873,9 +867,7 @@ impl Engine {
                     valid_till: EpochId(valid_till),
                 },
             );
-            if let Some(obs) = self.shared.obs.get() {
-                obs.undo_buffer_fill.set(st.buffer.len() as u64);
-            }
+            self.shared.obs.undo_buffer_fill.set(st.buffer.len() as u64);
             if st.buffer.len() >= UNDO_BUFFER_ENTRIES {
                 self.shared.drain(&mut st, false)?;
             }
@@ -925,7 +917,7 @@ impl Engine {
         self.shared.drain(&mut st, false)?;
         let eid = st.sys_eid;
         st.committed = eid;
-        st.stats.commits += 1;
+        self.shared.obs.commits.inc();
         self.shared
             .emit(&mut st, EventKind::EpochCommit { eid: EpochId(eid) });
         let mut lines: Vec<u32> = st.dirty_cur.drain().collect();
@@ -958,7 +950,7 @@ impl Engine {
         let mut waited: Option<std::time::Instant> = None;
         while st.committed - st.persisted > self.shared.cfg.window && st.dead.is_none() {
             waited.get_or_insert_with(std::time::Instant::now);
-            st.stats.window_stalls += 1;
+            self.shared.obs.window_stalls.inc();
             self.shared.emit(
                 &mut st,
                 EventKind::Marker {
@@ -968,8 +960,11 @@ impl Engine {
             );
             st = self.shared.done.wait(st).expect("store engine poisoned");
         }
-        if let (Some(obs), Some(t0)) = (self.shared.obs.get(), waited) {
-            obs.window_wait_ns.record(t0.elapsed().as_nanos() as u64);
+        if let Some(t0) = waited {
+            self.shared
+                .obs
+                .window_wait_ns
+                .record(t0.elapsed().as_nanos() as u64);
         }
         self.shared.check_alive(&st)
     }
@@ -1005,18 +1000,12 @@ impl Engine {
         (start as u32, end as u32)
     }
 
-    /// Attaches observability instruments: persister cycle timing,
-    /// fence/line counters, window-wait histogram, and the
-    /// epoch-pipeline gauges (open epochs, window occupancy, undo-buffer
-    /// fill, live log blocks). Idempotent per engine — the first
-    /// registry wins; until called, instrumented paths cost one relaxed
-    /// atomic load.
-    pub fn enable_obs(&self, registry: &picl_obs::MetricsRegistry) {
-        let _ = self
-            .shared
-            .obs
-            .set(crate::obs::StoreObs::register(registry));
-        self.shared.publish_gauges(&self.lock());
+    /// The registry holding the engine's instruments from open on:
+    /// protocol counters, persister cycle timing, window-wait histogram,
+    /// and the epoch-pipeline gauges (open epochs, window occupancy,
+    /// undo-buffer fill, live log blocks).
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
     /// `(executing, committed, persisted)` epoch frontiers.
@@ -1025,9 +1014,10 @@ impl Engine {
         (st.sys_eid, st.committed, st.persisted)
     }
 
-    /// Protocol counters so far.
+    /// Protocol counters so far (read from the instruments; never takes
+    /// the protocol mutex).
     pub fn stats(&self) -> EngineStats {
-        self.lock().stats
+        self.shared.obs.stats()
     }
 
     /// Blocks until every committed epoch has persisted (or the medium
@@ -1057,7 +1047,9 @@ impl Engine {
             let mut st = self.lock();
             st.shutdown = true;
             self.shared.work.notify_all();
-            self.shared.check_alive(&st).map(|()| st.stats)
+            self.shared
+                .check_alive(&st)
+                .map(|()| self.shared.obs.stats())
         };
         if let Some(handle) = self.persister.take() {
             let _ = handle.join();
