@@ -12,6 +12,9 @@
 //! 2. **Undo-before-eviction**: a dirty or ACS write-back of a line whose
 //!    undo entry is still sitting *volatile* in the on-chip buffer
 //!    (appended, never drained) would leave the pre-image unrecoverable.
+//!    A drain retires only the entries appended at or before its seal
+//!    cycle: a drain completing after further appends leaves those
+//!    volatile.
 //!    Same-cycle coverage is legal — a forced drain triggered by the very
 //!    eviction lands at the same cycle, as does FRM's read-log-modify
 //!    append — so a write-back is only condemned once an event strictly
@@ -74,8 +77,12 @@ pub enum AuditEvent {
         /// Inclusive upper epoch bound.
         valid_till: u64,
     },
-    /// The volatile undo buffer drained (everything in it became durable).
-    UndoDrain,
+    /// The volatile undo buffer drained: every entry appended at or
+    /// before the seal cycle became durable.
+    UndoDrain {
+        /// The cycle the drained buffer was sealed at.
+        sealed: u64,
+    },
     /// A line was written back toward memory (dirty eviction or ACS pass).
     LineWriteback {
         /// The line written.
@@ -124,7 +131,9 @@ impl AuditEvent {
                 valid_from: valid_from.raw(),
                 valid_till: valid_till.raw(),
             },
-            EventKind::UndoDrain { .. } => AuditEvent::UndoDrain,
+            EventKind::UndoDrain { sealed, .. } => AuditEvent::UndoDrain {
+                sealed: sealed.raw(),
+            },
             EventKind::DirtyWriteback { addr } => AuditEvent::LineWriteback {
                 addr: addr.raw(),
                 acs: false,
@@ -528,8 +537,10 @@ impl Checker {
                 self.till_by_addr.insert(addr, valid_till);
                 self.volatile.insert(addr, cycle);
             }
-            AuditEvent::UndoDrain => {
-                self.volatile.clear();
+            AuditEvent::UndoDrain { sealed } => {
+                // Entries appended after the seal went to the next buffer
+                // and are still volatile.
+                self.volatile.retain(|_, &mut since| since > sealed);
             }
             AuditEvent::LineWriteback { addr, acs } => {
                 // Same-cycle coverage (a forced drain triggered by this
@@ -661,6 +672,7 @@ mod tests {
                 entries: 1,
                 bytes: 64,
                 forced: false,
+                sealed: Cycle(0),
             },
             EventKind::BloomCheck {
                 addr: LineAddr::new(1),
@@ -829,11 +841,37 @@ mod tests {
                         acs: false,
                     },
                 ),
-                (50, AuditEvent::UndoDrain),
+                (50, AuditEvent::UndoDrain { sealed: 50 }),
                 (90, AuditEvent::EpochCommit { eid: 1 }),
             ],
         );
         assert_eq!(report.verdict, Verdict::Pass, "{report}");
+    }
+
+    #[test]
+    fn drain_retires_only_entries_sealed_before_it() {
+        // A drain sealed at cycle 15 completes at 30, after B was
+        // appended to the next buffer: A is durable, B is not.
+        let append = |addr| AuditEvent::UndoEntryAppended {
+            addr,
+            valid_from: 0,
+            valid_till: 1,
+        };
+        let writeback = |addr| AuditEvent::LineWriteback { addr, acs: true };
+        let report = run(
+            AuditConfig::default(),
+            &[
+                (0, AuditEvent::EpochBegin { eid: 1 }),
+                (10, append(1)),
+                (20, append(2)),
+                (30, AuditEvent::UndoDrain { sealed: 15 }),
+                (40, writeback(1)),
+                (50, writeback(2)),
+                (60, AuditEvent::EpochCommit { eid: 1 }),
+            ],
+        );
+        assert_eq!(kinds(&report), vec![ViolationKind::UndoBeforeEviction]);
+        assert_eq!(report.violations[0].addr, Some(2));
     }
 
     #[test]
@@ -929,7 +967,7 @@ mod tests {
                         valid_till: 4, // till moved backwards + stale
                     },
                 ),
-                (40, AuditEvent::UndoDrain),
+                (40, AuditEvent::UndoDrain { sealed: 40 }),
             ],
         );
         let ks = kinds(&report);
@@ -954,7 +992,7 @@ mod tests {
                         valid_till: 4,
                     },
                 ),
-                (20, AuditEvent::UndoDrain),
+                (20, AuditEvent::UndoDrain { sealed: 20 }),
                 (100, AuditEvent::EpochCommit { eid: 4 }),
                 (100, AuditEvent::EpochBegin { eid: 5 }),
                 (
@@ -965,7 +1003,7 @@ mod tests {
                         valid_till: 5,
                     },
                 ),
-                (120, AuditEvent::UndoDrain),
+                (120, AuditEvent::UndoDrain { sealed: 120 }),
             ],
         );
         assert_eq!(report.verdict, Verdict::Pass, "{report}");
@@ -1095,7 +1133,7 @@ mod tests {
         // The snapshot resolves the pending write-back on a clone...
         assert_eq!(c.snapshot_report().verdict, Verdict::Fail);
         // ...but the live checker still honours a same-cycle drain.
-        c.observe(50, None, AuditEvent::UndoDrain);
+        c.observe(50, None, AuditEvent::UndoDrain { sealed: 50 });
         c.finish();
         assert_eq!(c.report().verdict, Verdict::Pass);
     }

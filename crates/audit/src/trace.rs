@@ -78,7 +78,7 @@ pub enum TraceRecord {
     Other,
 }
 
-fn parse_record(v: &Value, event: &str) -> Result<TraceRecord, String> {
+fn parse_record(v: &Value, cycle: u64, event: &str) -> Result<TraceRecord, String> {
     Ok(match event {
         "epoch_begin" => TraceRecord::Audit(AuditEvent::EpochBegin {
             eid: v.field_u64("eid")?,
@@ -94,7 +94,14 @@ fn parse_record(v: &Value, event: &str) -> Result<TraceRecord, String> {
             valid_from: v.field_u64("valid_from")?,
             valid_till: v.field_u64("valid_till")?,
         }),
-        "undo_drain" => TraceRecord::Audit(AuditEvent::UndoDrain),
+        // Traces written before drains carried a seal cycle sealed as
+        // they drained.
+        "undo_drain" => TraceRecord::Audit(AuditEvent::UndoDrain {
+            sealed: match v.get("sealed") {
+                Some(_) => v.field_u64("sealed")?,
+                None => cycle,
+            },
+        }),
         "dirty_writeback" => TraceRecord::Audit(AuditEvent::LineWriteback {
             addr: v.field_u64("line")?,
             acs: false,
@@ -163,7 +170,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceLine>, String> {
             ),
         };
         let event = v.field_str("event").map_err(|e| format!("line {n}: {e}"))?;
-        let record = parse_record(&v, event).map_err(|e| format!("line {n}: {e}"))?;
+        let record = parse_record(&v, cycle, event).map_err(|e| format!("line {n}: {e}"))?;
         out.push(TraceLine {
             cycle,
             core,
@@ -200,7 +207,7 @@ mod tests {
 {\"cycle\":0,\"core\":null,\"event\":\"epoch_begin\",\"eid\":1}
 {\"cycle\":10,\"core\":0,\"event\":\"nvm_enqueue\",\"class\":\"demand-read\",\"write\":false,\"bytes\":64}
 {\"cycle\":40,\"core\":1,\"event\":\"undo_entry_appended\",\"line\":7,\"valid_from\":0,\"valid_till\":1}
-{\"cycle\":50,\"core\":1,\"event\":\"undo_drain\",\"entries\":3,\"bytes\":192,\"forced\":true}
+{\"cycle\":50,\"core\":1,\"event\":\"undo_drain\",\"entries\":3,\"bytes\":192,\"forced\":true,\"sealed\":45}
 {\"cycle\":100,\"core\":null,\"event\":\"epoch_commit\",\"eid\":1}
 {\"cycle\":120,\"core\":null,\"event\":\"acs_scan_start\",\"target\":1}
 {\"cycle\":130,\"core\":null,\"event\":\"acs_line_writeback\",\"line\":3}
@@ -226,10 +233,41 @@ mod tests {
                 bytes: 64
             }
         );
+        assert_eq!(
+            lines[3].record,
+            TraceRecord::Audit(AuditEvent::UndoDrain { sealed: 45 })
+        );
         assert_eq!(lines[12].record, TraceRecord::Dropped { dropped: 0 });
 
         let report = audit_trace(&lines, AuditConfig::default());
         assert_eq!(report.verdict, Verdict::Pass, "{report}");
+    }
+
+    #[test]
+    fn drain_seal_cycle_round_trips_and_defaults_to_the_drain_cycle() {
+        use picl_telemetry::{export::jsonl_to_string, EventKind, Telemetry};
+        use picl_types::Cycle;
+        let t = Telemetry::new(0, 16);
+        let drain = |sealed| EventKind::UndoDrain {
+            entries: 3,
+            bytes: 192,
+            forced: false,
+            sealed,
+        };
+        t.record(Cycle(50), None, drain(Cycle(45)));
+        let exported = jsonl_to_string(&t.snapshot());
+        let lines = parse_trace(&exported).unwrap();
+        assert_eq!(
+            lines[0].record,
+            TraceRecord::Audit(AuditEvent::UndoDrain { sealed: 45 })
+        );
+        // A trace written before drains carried their seal cycle.
+        let old = exported.replace(",\"sealed\":45", "");
+        assert_ne!(old, exported);
+        assert_eq!(
+            parse_trace(&old).unwrap()[0].record,
+            TraceRecord::Audit(AuditEvent::UndoDrain { sealed: 50 })
+        );
     }
 
     #[test]

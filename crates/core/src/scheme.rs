@@ -130,6 +130,7 @@ impl Picl {
                 entries: entries.len() as u64,
                 bytes: entries.len() as u64 * ENTRY_BYTES,
                 forced,
+                sealed: now,
             },
         );
         let done = self.log.append_flush(entries, mem, now);

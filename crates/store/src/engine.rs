@@ -8,15 +8,32 @@
 //! write lands there immediately. The first write to a line in each epoch
 //! appends a `(ValidFrom, ValidTill)` undo entry carrying the line's
 //! pre-image to the coalescing buffer; a full buffer (or an epoch
-//! boundary) drains as one bulk 4 KB log-block write, fenced before the
-//! drain returns. The background persister is the ACS: it walks the dirty
-//! lines of the oldest committed epoch, forces a drain when a line still
-//! has a volatile undo entry (the bloom-probe-before-eviction rule), and
-//! writes lines *in place* — always ordered behind their undo entries.
-//! Once every line of epoch `E` is in place it fences, advances the
-//! superblock's persist frontier, and wakes writers stalled on the
-//! in-order window (`committed - persisted <= window`), which is what
-//! bounds the RPO to `window` epochs.
+//! boundary) is *sealed* under the protocol mutex and written as one bulk
+//! 4 KB log block outside it (see "Undo drains" below). The background
+//! persister is the ACS: it walks the dirty lines of the oldest committed
+//! epoch, forces a drain when a line still has a volatile undo entry (the
+//! bloom-probe-before-eviction rule), and writes lines *in place* —
+//! always ordered behind their undo entries. Once every line of epoch `E`
+//! is in place it fences, advances the superblock's persist frontier, and
+//! wakes writers stalled on the in-order window (`committed - persisted
+//! <= window`), which is what bounds the RPO to `window` epochs.
+//!
+//! # Undo drains
+//!
+//! A drain never holds the protocol mutex across media I/O. The thread
+//! whose append fills the buffer (a writer), the committer at an epoch
+//! boundary, or the persister on a bloom hit *seals* the buffer under the
+//! mutex: it swaps in the spare buffer and line set, reserves the block's
+//! log sequence (and so its slot), and marks the block's lines in flight.
+//! It then releases the mutex, encodes the block, `persist`s and `fence`s
+//! it, and relocks to publish completion: the counters, the `UndoDrain`
+//! event (which carries the seal tick, so an auditor retires only the
+//! entries appended up to the seal) and the `drained` condvar. At most one
+//! block is in flight, so blocks reach the log in sequence order; a writer
+//! whose append would fill the next buffer while one is in flight waits —
+//! the paper's bounded 2 KB buffer. A failed write or fence kills the
+//! engine. The persister treats in-flight lines like buffered ones: it
+//! waits for the block's fence before it snapshots such a line.
 //!
 //! # Recovery
 //!
@@ -36,22 +53,23 @@
 //! happens under it, so the exported event stream is totally ordered and
 //! passes `picl audit` even with real threads racing. The volatile image
 //! itself is split out into sharded `RwLock`s: reads take only their
-//! shard's read lock (no protocol mutex at all), writes take the
-//! protocol mutex for the whole operation (the undo append and the image
-//! update must be atomic against a commit), and the persister does its
-//! media I/O with *no* locks held — it bloom-probes and snapshots each
-//! line under the protocol mutex, then writes the snapshots back off to
-//! the side while the front end keeps executing. The snapshot discipline
-//! keeps undo-before-writeback intact: every undo entry covering a
-//! snapshotted line is durable (forced drain) at snapshot time, and any
-//! image write landing after the snapshot logs a pre-image that chains
-//! from the snapshot value, so rollback to the advancing frontier is
-//! correct whether or not those later entries survive. Lock order is
-//! protocol mutex, then shard.
+//! shard's read lock (no protocol mutex at all), writes hold the protocol
+//! mutex across the undo append and the image update (the two must be
+//! atomic against a commit) but release it before writing a sealed undo
+//! block, and the persister does its media I/O with *no* locks held — it
+//! bloom-probes and snapshots each line under the protocol mutex, then
+//! writes the snapshots back off to the side while the front end keeps
+//! executing. The snapshot discipline keeps undo-before-writeback intact:
+//! every undo entry covering a snapshotted line is durable (forced or
+//! awaited drain) at snapshot time, and any image write landing after the
+//! snapshot logs a pre-image that chains from the snapshot value, so
+//! rollback to the advancing frontier is correct whether or not those
+//! later entries survive. Lock order is protocol mutex, then shard.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 use picl_obs::MetricsRegistry;
 use picl_telemetry::{EventKind, Telemetry};
@@ -60,7 +78,7 @@ use picl_types::{Cycle, EpochId, LineAddr, LINE_BYTES};
 
 use crate::layout::{
     decode_log_block, encode_log_block, Geometry, LogBlock, Superblock, UndoEntry, DATA_OFFSET,
-    ENTRIES_PER_BLOCK, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
+    ENTRIES_PER_BLOCK, ENTRY_BYTES, LOG_BLOCK_BYTES, SB_BYTES, UNDO_BUFFER_ENTRIES,
 };
 use crate::obs::StoreObs;
 use crate::persist::PersistOps;
@@ -230,18 +248,19 @@ struct ImageShards {
 }
 
 impl ImageShards {
-    fn new(lines: u32, mut image: Vec<u8>) -> ImageShards {
+    fn new(lines: u32, image: Vec<u8>) -> ImageShards {
         let lines = lines as usize;
         debug_assert_eq!(image.len(), lines * LINE);
         let shard_count = IMAGE_SHARDS.min(lines.max(1));
         let lines_per_shard = lines.div_ceil(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let take = (lines_per_shard * LINE).min(image.len());
-            let rest = image.split_off(take);
-            shards.push(RwLock::new(image));
-            image = rest;
-        }
+        // One exact-size copy per shard: splitting the tail off again and
+        // again would copy the image once per shard and leave every shard
+        // holding the capacity of the whole tail it was cut from.
+        let mut shards: Vec<RwLock<Vec<u8>>> = image
+            .chunks(lines_per_shard * LINE)
+            .map(|chunk| RwLock::new(chunk.to_vec()))
+            .collect();
+        shards.resize_with(shard_count, || RwLock::new(Vec::new()));
         ImageShards {
             lines_per_shard,
             shards,
@@ -287,8 +306,15 @@ struct Inner {
     /// Per-line epoch tag: last epoch whose first write logged an undo
     /// entry for the line (`0` = untagged).
     tags: Vec<u64>,
+    /// The coalescing buffer and the lines it holds (the bloom filter).
     buffer: Vec<UndoEntry>,
     buffer_lines: FastSet<u32>,
+    /// Lines of the sealed block being written outside the mutex, if one
+    /// is in flight (at most one is).
+    in_flight: Option<FastSet<u32>>,
+    /// The cleared buffer and line set of the last completed drain,
+    /// swapped in at the next seal so no drain allocates under the mutex.
+    spare: (Vec<UndoEntry>, FastSet<u32>),
     dirty_cur: FastSet<u32>,
     queue: VecDeque<EpochWork>,
     log_head_seq: u64,
@@ -311,8 +337,10 @@ impl Inner {
             generation,
             floor: point,
             tags: vec![0; lines as usize],
-            buffer: Vec::new(),
+            buffer: Vec::with_capacity(UNDO_BUFFER_ENTRIES),
             buffer_lines: FastSet::default(),
+            in_flight: None,
+            spare: (Vec::with_capacity(UNDO_BUFFER_ENTRIES), FastSet::default()),
             dirty_cur: FastSet::default(),
             queue: VecDeque::new(),
             log_head_seq: 0,
@@ -323,6 +351,31 @@ impl Inner {
             shutdown: false,
         }
     }
+}
+
+/// What sealed an undo block: the index of its
+/// `picl_store_undo_drain_ns{path}` histogram in [`StoreObs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DrainPath {
+    /// A writer's append filled the buffer.
+    Inline = 0,
+    /// The persister's bloom probe hit a buffered line.
+    Forced = 1,
+    /// An epoch commit.
+    Boundary = 2,
+}
+
+/// An undo block sealed under the protocol mutex, on its way to the log
+/// with no lock held.
+struct SealedBlock {
+    seq: u64,
+    generation: u64,
+    entries: Vec<UndoEntry>,
+    path: DrainPath,
+    /// The tick of the last event before the seal: every entry in the
+    /// block was appended at or before it, every later one after it.
+    sealed: u64,
+    started: Instant,
 }
 
 struct Shared {
@@ -340,6 +393,8 @@ struct Shared {
     work: Condvar,
     /// Wakes writers (persist frontier advanced, log space freed, death).
     done: Condvar,
+    /// Wakes threads waiting out an in-flight undo drain (and death).
+    drained: Condvar,
     /// The protocol counters and pipeline instruments.
     obs: StoreObs,
 }
@@ -357,6 +412,7 @@ impl Shared {
         self.dead_flag.store(true, Ordering::Release);
         self.work.notify_all();
         self.done.notify_all();
+        self.drained.notify_all();
         StoreError::Io(msg)
     }
 
@@ -392,31 +448,60 @@ impl Shared {
         }
     }
 
-    /// Drains the coalescing buffer as one bulk log-block write + fence.
-    /// Caller must have reserved log space (writers gate on
-    /// `log_blocks - 1`, leaving the last slot for the persister's forced
-    /// drains).
-    fn drain(&self, st: &mut Inner, forced: bool) -> Result<(), StoreError> {
-        if st.buffer.is_empty() {
-            return Ok(());
+    /// Blocks until no undo drain is in flight — the single-in-flight
+    /// rule, and the bounded buffer's backpressure — timing the wait.
+    fn await_drain<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, Inner>,
+    ) -> Result<MutexGuard<'a, Inner>, StoreError> {
+        if st.in_flight.is_some() {
+            let t0 = Instant::now();
+            while st.in_flight.is_some() && st.dead.is_none() {
+                st = self.drained.wait(st).expect("store engine poisoned");
+            }
+            self.obs
+                .drain_wait_ns
+                .record(t0.elapsed().as_nanos() as u64);
         }
-        let entries = std::mem::take(&mut st.buffer);
-        st.buffer_lines.clear();
+        self.check_alive(&st)?;
+        Ok(st)
+    }
+
+    /// Seals the coalescing buffer: swaps in the spare buffer and line
+    /// set, reserves the block's log sequence (and so its slot), and
+    /// marks its lines in flight. Returns `None` for an empty buffer, and
+    /// under the sabotage knob, which discards the entries instead. The
+    /// caller must have waited out any in-flight drain and, for writers,
+    /// reserved log space (writers gate on `log_blocks - 1`, leaving the
+    /// last slot for the persister's forced drains).
+    fn seal(&self, st: &mut Inner, path: DrainPath) -> Option<SealedBlock> {
+        if st.buffer.is_empty() {
+            return None;
+        }
+        debug_assert!(st.in_flight.is_none(), "one drain in flight at a time");
+        let started = Instant::now();
+        let forced = path == DrainPath::Forced;
         if self.cfg.sabotage_skip_drain {
             // Sabotage: pretend the drain happened. The entries are gone;
             // a crash now cannot roll their lines back.
+            let entries = st.buffer.len() as u64;
+            st.buffer.clear();
+            st.buffer_lines.clear();
+            let sealed = Cycle(st.tick);
             self.emit(
                 st,
                 EventKind::UndoDrain {
-                    entries: entries.len() as u64,
-                    bytes: (entries.len() * crate::layout::ENTRY_BYTES) as u64,
+                    entries,
+                    bytes: entries * ENTRY_BYTES as u64,
                     forced,
+                    sealed,
                 },
             );
             self.obs.drains.inc();
-            return Ok(());
+            self.obs.undo_drain_ns[path as usize].record(started.elapsed().as_nanos() as u64);
+            return None;
         }
-        debug_assert!(entries.len() <= ENTRIES_PER_BLOCK);
+        debug_assert!(st.buffer.len() <= ENTRIES_PER_BLOCK);
         let seq = st.log_head_seq;
         debug_assert!(
             seq - st.log_start_seq < u64::from(self.geometry.log_blocks),
@@ -424,31 +509,122 @@ impl Shared {
             st.log_start_seq,
             self.geometry.log_blocks
         );
-        let block = encode_log_block(st.generation, seq, &entries);
+        let (spare_entries, spare_lines) = std::mem::take(&mut st.spare);
+        let entries = std::mem::replace(&mut st.buffer, spare_entries);
+        st.in_flight = Some(std::mem::replace(&mut st.buffer_lines, spare_lines));
         let max_till = entries.iter().map(|e| e.valid_till).max().unwrap_or(0);
-        let off = self.geometry.log_slot_off(seq);
-        self.medium
-            .persist(off, &block)
-            .and_then(|()| self.medium.fence())
-            .map_err(|e| self.die(st, e.to_string()))?;
         st.log_head_seq = seq + 1;
         st.live_blocks.push_back((seq, max_till));
+        Some(SealedBlock {
+            seq,
+            generation: st.generation,
+            entries,
+            path,
+            sealed: st.tick,
+            started,
+        })
+    }
+
+    /// Writes a sealed block with no lock held — encode, `persist`,
+    /// `fence` — then relocks to publish it: the counters, the `UndoDrain`
+    /// event carrying the seal tick, the recycled buffers, and the
+    /// `drained` wake-up. A failed write kills the engine.
+    fn write_sealed(&self, block: SealedBlock) -> Result<MutexGuard<'_, Inner>, StoreError> {
+        let SealedBlock {
+            seq,
+            generation,
+            mut entries,
+            path,
+            sealed,
+            started,
+        } = block;
+        let bytes = encode_log_block(generation, seq, &entries);
+        let io = self
+            .medium
+            .persist(self.geometry.log_slot_off(seq), &bytes)
+            .and_then(|()| self.medium.fence());
+        let mut st = self.state.lock().expect("store engine poisoned");
+        if let Err(e) = io {
+            return Err(self.die(&mut st, e.to_string()));
+        }
+        let count = entries.len() as u64;
+        entries.clear();
+        let mut lines = st.in_flight.take().expect("a sealed block is in flight");
+        lines.clear();
+        st.spare = (entries, lines);
+        let forced = path == DrainPath::Forced;
         self.obs.drains.inc();
         if forced {
             self.obs.forced_drains.inc();
         }
         self.obs.log_blocks_written.inc();
         self.obs.fences.inc();
+        self.obs.undo_drain_ns[path as usize].record(started.elapsed().as_nanos() as u64);
         self.emit(
-            st,
+            &mut st,
             EventKind::UndoDrain {
-                entries: entries.len() as u64,
+                entries: count,
                 bytes: LOG_BLOCK_BYTES,
                 forced,
+                sealed: Cycle(sealed),
             },
         );
-        self.publish_gauges(st);
-        Ok(())
+        self.publish_gauges(&st);
+        self.drained.notify_all();
+        Ok(st)
+    }
+
+    /// Drains the coalescing buffer now: waits out any in-flight drain,
+    /// seals, and writes the block off-lock. Returns the relocked guard.
+    fn drain_buffer<'a>(
+        &'a self,
+        st: MutexGuard<'a, Inner>,
+        path: DrainPath,
+    ) -> Result<MutexGuard<'a, Inner>, StoreError> {
+        let mut st = self.await_drain(st)?;
+        match self.seal(&mut st, path) {
+            Some(block) => {
+                drop(st);
+                self.write_sealed(block)
+            }
+            None => Ok(st),
+        }
+    }
+
+    /// The persister's bloom probe before it snapshots `line`. A line
+    /// whose newest undo entry is still volatile — buffered, or in the
+    /// in-flight block — must not be written in place before that entry
+    /// is fenced (undo-before-eviction): wait out the in-flight drain,
+    /// and force a drain of the buffer, as the hardware does on a bloom
+    /// hit.
+    fn probe_line<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, Inner>,
+        line: u32,
+    ) -> Result<MutexGuard<'a, Inner>, StoreError> {
+        let volatile = |st: &Inner| {
+            st.buffer_lines.contains(&line)
+                || st.in_flight.as_ref().is_some_and(|f| f.contains(&line))
+        };
+        if !volatile(&st) {
+            return Ok(st);
+        }
+        self.emit(
+            &mut st,
+            EventKind::BloomCheck {
+                addr: LineAddr::new(u64::from(line)),
+                hit: true,
+            },
+        );
+        self.obs.bloom_hits.inc();
+        while volatile(&st) {
+            st = if st.buffer_lines.contains(&line) {
+                self.drain_buffer(st, DrainPath::Forced)?
+            } else {
+                self.await_drain(st)?
+            };
+        }
+        Ok(st)
     }
 
     fn superblock(&self, st: &Inner) -> Superblock {
@@ -463,7 +639,7 @@ impl Shared {
 
     /// Persists a run of consecutive committed epochs in three phases.
     /// Phase 1, under the protocol mutex: per line, bloom-probe the undo
-    /// buffer (forced drain on a hit — undo-before-eviction) and
+    /// buffer and the in-flight block ([`Shared::probe_line`]) and
     /// snapshot the line's image bytes. Phase 2, with no locks held:
     /// write every snapshot in place and fence, while the front end
     /// keeps executing — this is where the stall knob and the real media
@@ -501,22 +677,7 @@ impl Shared {
                 );
                 let started = st.tick + 1;
                 for &line in &work.lines {
-                    if st.buffer_lines.contains(&line) {
-                        // The line's newest undo entry is still volatile:
-                        // writing the (possibly newer) image in place
-                        // first would break undo-before-eviction. Probe +
-                        // forced drain, as the hardware does on a bloom
-                        // hit.
-                        self.emit(
-                            &mut st,
-                            EventKind::BloomCheck {
-                                addr: LineAddr::new(u64::from(line)),
-                                hit: true,
-                            },
-                        );
-                        self.obs.bloom_hits.inc();
-                        self.drain(&mut st, true)?;
-                    }
+                    st = self.probe_line(st, line)?;
                     batch.push((line, self.image.read(line)));
                     self.obs.line_writebacks.inc();
                     self.emit(
@@ -775,6 +936,7 @@ impl Engine {
             dead_flag: AtomicBool::new(false),
             work: Condvar::new(),
             done: Condvar::new(),
+            drained: Condvar::new(),
             obs: StoreObs::register(&registry),
         });
         shared.publish_gauges(&shared.state.lock().expect("store engine poisoned"));
@@ -822,7 +984,10 @@ impl Engine {
     }
 
     /// Writes one line: logs the pre-image on the epoch's first touch,
-    /// then updates the volatile image.
+    /// then updates the volatile image. An append that fills the undo
+    /// buffer seals it and writes the block after releasing the protocol
+    /// mutex; one that would fill it while another block is in flight
+    /// waits for that drain first.
     ///
     /// # Errors
     ///
@@ -833,18 +998,22 @@ impl Engine {
     /// Panics if `line` is out of range.
     pub fn write_line(&self, line: u32, data: &[u8; LINE]) -> Result<(), StoreError> {
         let mut st = self.lock();
-        self.shared.check_alive(&st)?;
-        if st.tags[line as usize] != st.sys_eid {
+        let sealed = loop {
+            self.shared.check_alive(&st)?;
+            if st.tags[line as usize] == st.sys_eid {
+                break None;
+            }
             // Gate on log space first, keeping one slot in reserve for
             // the persister's forced drains.
-            loop {
-                self.shared.gc(&mut st);
-                let live = st.log_head_seq - st.log_start_seq;
-                if live < u64::from(self.shared.geometry.log_blocks) - 1 {
-                    break;
-                }
+            self.shared.gc(&mut st);
+            let live = st.log_head_seq - st.log_start_seq;
+            if live >= u64::from(self.shared.geometry.log_blocks) - 1 {
                 st = self.shared.done.wait(st).expect("store engine poisoned");
-                self.shared.check_alive(&st)?;
+                continue;
+            }
+            if st.buffer.len() + 1 >= UNDO_BUFFER_ENTRIES && st.in_flight.is_some() {
+                st = self.shared.await_drain(st)?;
+                continue;
             }
             let valid_from = st.tags[line as usize].max(st.floor);
             let valid_till = st.sys_eid;
@@ -869,13 +1038,18 @@ impl Engine {
             );
             self.shared.obs.undo_buffer_fill.set(st.buffer.len() as u64);
             if st.buffer.len() >= UNDO_BUFFER_ENTRIES {
-                self.shared.drain(&mut st, false)?;
+                break self.shared.seal(&mut st, DrainPath::Inline);
             }
-        }
+            break None;
+        };
         // Still under the protocol mutex: the undo append and the image
         // update must be atomic against a commit boundary, or a crash
         // could recover a torn prefix.
         self.shared.image.write(line, data);
+        drop(st);
+        if let Some(block) = sealed {
+            drop(self.shared.write_sealed(block)?);
+        }
         Ok(())
     }
 
@@ -899,10 +1073,12 @@ impl Engine {
         Ok(ticket.eid)
     }
 
-    /// Phase one of a commit, entirely under the protocol mutex and never
-    /// blocking on media: drains the undo buffer, publishes the epoch
-    /// boundary, hands the epoch's dirty lines to the persister, and
-    /// begins the next executing epoch. The returned ticket says whether
+    /// Phase one of a commit: under the protocol mutex, seals the undo
+    /// buffer as the boundary block (first waiting out any drain in
+    /// flight), publishes the epoch boundary, hands the epoch's dirty
+    /// lines to the persister, and begins the next executing epoch; then,
+    /// with the mutex released, writes and fences the boundary block. It
+    /// never waits for the persister. The returned ticket says whether
     /// the §IV-A in-order window was full at the boundary — if so, a
     /// caller honoring the RPO bound must [`Engine::wait_window`] before
     /// treating the commit as flow-controlled, but it may do useful work
@@ -914,7 +1090,10 @@ impl Engine {
     pub fn commit_epoch_async(&self) -> Result<CommitTicket, StoreError> {
         let mut st = self.lock();
         self.shared.check_alive(&st)?;
-        self.shared.drain(&mut st, false)?;
+        if !st.buffer.is_empty() {
+            st = self.shared.await_drain(st)?;
+        }
+        let sealed = self.shared.seal(&mut st, DrainPath::Boundary);
         let eid = st.sys_eid;
         st.committed = eid;
         self.shared.obs.commits.inc();
@@ -923,7 +1102,6 @@ impl Engine {
         let mut lines: Vec<u32> = st.dirty_cur.drain().collect();
         lines.sort_unstable();
         st.queue.push_back(EpochWork { eid, lines });
-        self.shared.work.notify_one();
         st.sys_eid = eid + 1;
         self.shared.emit(
             &mut st,
@@ -933,6 +1111,13 @@ impl Engine {
         );
         let window_full = st.committed - st.persisted > self.shared.cfg.window;
         self.shared.publish_gauges(&st);
+        drop(st);
+        if let Some(block) = sealed {
+            drop(self.shared.write_sealed(block)?);
+        }
+        // Woken before the boundary block is durable, the persister's
+        // probe would only stall on the block's lines.
+        self.shared.work.notify_one();
         Ok(CommitTicket { eid, window_full })
     }
 
@@ -1117,6 +1302,329 @@ mod tests {
         [b; LINE]
     }
 
+    /// A completed medium operation, in completion order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum MediumOp {
+        Persist(u64),
+        Fence,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        closed: bool,
+        /// Log-region persists that have reached the gate so far.
+        log_persists: usize,
+        /// Fail the next fence of the thread whose log persist passes
+        /// the gate next.
+        fail_log_fence: bool,
+        doomed: Option<std::thread::ThreadId>,
+        ops: Vec<MediumOp>,
+    }
+
+    /// A counting medium whose log-region persists block while the gate
+    /// is closed, so a test holds an off-lock drain in flight for as
+    /// long as it needs. Logs every completed operation in order.
+    struct GatedMedium {
+        inner: CountingMedium,
+        log_start: u64,
+        gate: Mutex<Gate>,
+        changed: Condvar,
+    }
+
+    impl GatedMedium {
+        fn new(cfg: &EngineConfig) -> Arc<GatedMedium> {
+            let g = Geometry {
+                lines: cfg.lines,
+                log_blocks: cfg.log_blocks,
+            };
+            Arc::new(GatedMedium {
+                inner: CountingMedium::new(g.total_len()),
+                log_start: g.log_slot_off(0),
+                gate: Mutex::new(Gate::default()),
+                changed: Condvar::new(),
+            })
+        }
+
+        fn gate(&self) -> MutexGuard<'_, Gate> {
+            self.gate.lock().unwrap()
+        }
+
+        /// Closes the gate until the returned guard drops (also on a
+        /// failed assertion, so a gated writer never outlives its test).
+        fn close(&self) -> Closed<'_> {
+            self.gate().closed = true;
+            Closed(self)
+        }
+
+        /// Blocks until `n` log persists have reached the gate.
+        fn await_log_persists(&self, n: usize) {
+            let mut gate = self.gate();
+            while gate.log_persists < n {
+                gate = self.changed.wait(gate).unwrap();
+            }
+        }
+
+        fn ops(&self) -> Vec<MediumOp> {
+            self.gate().ops.clone()
+        }
+    }
+
+    struct Closed<'a>(&'a GatedMedium);
+
+    impl Drop for Closed<'_> {
+        fn drop(&mut self) {
+            self.0.gate().closed = false;
+            self.0.changed.notify_all();
+        }
+    }
+
+    impl PersistOps for GatedMedium {
+        fn persist(&self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            if offset >= self.log_start {
+                let mut gate = self.gate();
+                gate.log_persists += 1;
+                self.changed.notify_all();
+                while gate.closed {
+                    gate = self.changed.wait(gate).unwrap();
+                }
+                if std::mem::take(&mut gate.fail_log_fence) {
+                    gate.doomed = Some(std::thread::current().id());
+                }
+            }
+            self.inner.persist(offset, data)?;
+            self.gate().ops.push(MediumOp::Persist(offset));
+            Ok(())
+        }
+
+        fn fence(&self) -> std::io::Result<()> {
+            if self.gate().doomed == Some(std::thread::current().id()) {
+                return Err(std::io::Error::other("injected fence failure"));
+            }
+            self.inner.fence()?;
+            self.gate().ops.push(MediumOp::Fence);
+            Ok(())
+        }
+
+        fn read(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read(offset, buf)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn stats(&self) -> crate::persist::PersistStats {
+            self.inner.stats()
+        }
+    }
+
+    fn gated_engine(telemetry: Telemetry) -> (Engine, Arc<GatedMedium>) {
+        let cfg = small_cfg();
+        let medium = GatedMedium::new(&cfg);
+        let (engine, _) = Engine::open(Arc::clone(&medium) as _, cfg, telemetry).unwrap();
+        (engine, medium)
+    }
+
+    const FILL: u32 = UNDO_BUFFER_ENTRIES as u32;
+
+    /// Writes lines `0..FILL` in epoch 1; the last append seals them
+    /// into a block the closed gate holds in flight. Returns the writer's
+    /// result.
+    fn fill_epoch_one(engine: &Engine) -> Result<(), StoreError> {
+        (0..FILL).try_for_each(|line| engine.write_line(line, &line_of(7)))
+    }
+
+    /// Commits epoch 1 while its undo block is in flight, waits for the
+    /// persister to reach line 0, and checks that it probed the line
+    /// instead of snapshotting it.
+    fn commit_while_in_flight(engine: &Engine, medium: &GatedMedium, telemetry: &Telemetry) {
+        medium.await_log_persists(1);
+        engine.commit_epoch_async().unwrap();
+        let line_0 = LineAddr::new(0);
+        let reached = loop {
+            let snap = telemetry.snapshot();
+            let first = snap.events.iter().find(|e| {
+                matches!(e.kind, EventKind::BloomCheck { addr, .. }
+                    | EventKind::AcsLineWriteback { addr } if addr == line_0)
+            });
+            if let Some(e) = first {
+                break e.kind;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(
+            reached,
+            EventKind::BloomCheck {
+                addr: line_0,
+                hit: true
+            },
+            "the persister snapshotted line 0 while its undo block was in flight"
+        );
+    }
+
+    #[test]
+    fn writers_and_readers_run_while_a_drain_is_in_flight() {
+        let (engine, medium) = gated_engine(Telemetry::off());
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            let filler = s.spawn(|| fill_epoch_one(&engine));
+            medium.await_log_persists(1);
+            engine.write_line(FILL + 10, &line_of(2)).unwrap();
+            assert_eq!(engine.read_line(FILL + 10).unwrap(), line_of(2));
+            assert_eq!(engine.read_line(FILL - 1).unwrap(), line_of(7));
+            assert!(!filler.is_finished(), "the drain is still gated");
+            assert_eq!(engine.stats().drains, 0);
+            drop(closed);
+            filler.join().unwrap().unwrap();
+        });
+        assert_eq!(engine.stats().drains, 1);
+        engine.close().unwrap();
+    }
+
+    #[test]
+    fn persister_waits_for_the_fence_of_an_in_flight_line() {
+        let telemetry = Telemetry::new(0, 1 << 12);
+        let (engine, medium) = gated_engine(telemetry.clone());
+        let data_0 = MediumOp::Persist(engine.geometry().data_off(0));
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            let writer = s.spawn(|| fill_epoch_one(&engine));
+            commit_while_in_flight(&engine, &medium, &telemetry);
+            assert!(
+                !medium.ops().contains(&data_0),
+                "line written before its undo fence"
+            );
+            drop(closed);
+            writer.join().unwrap().unwrap();
+        });
+        engine.drain_persister().unwrap();
+        let ops = medium.ops();
+        let log = ops
+            .iter()
+            .position(|&o| o == MediumOp::Persist(engine.geometry().log_slot_off(0)))
+            .unwrap();
+        let data = ops.iter().position(|&o| o == data_0).unwrap();
+        assert!(
+            ops[log..data].contains(&MediumOp::Fence),
+            "line 0 written in place before its undo block's fence: {ops:?}"
+        );
+        assert_eq!(engine.frontiers().2, 1);
+        engine.close().unwrap();
+    }
+
+    #[test]
+    fn a_second_fill_waits_for_the_drain_in_flight() {
+        let (engine, medium) = gated_engine(Telemetry::off());
+        let appended = std::sync::atomic::AtomicU32::new(0);
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            let first = s.spawn(|| fill_epoch_one(&engine));
+            medium.await_log_persists(1);
+            let second = s.spawn(|| {
+                for line in FILL..2 * FILL {
+                    engine.write_line(line, &line_of(2)).unwrap();
+                    appended.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            // Every append but the one that would fill the buffer goes
+            // through; that one must wait out the gated drain.
+            while appended.load(Ordering::SeqCst) < FILL - 1 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(appended.load(Ordering::SeqCst), FILL - 1);
+            assert_eq!(medium.gate().log_persists, 1, "a second drain started");
+            assert!(!second.is_finished());
+            drop(closed);
+            first.join().unwrap().unwrap();
+            second.join().unwrap();
+        });
+        let stats = engine.stats();
+        assert_eq!((stats.drains, stats.log_blocks_written), (2, 2));
+        let waits = engine
+            .registry()
+            .snapshot()
+            .histogram("picl_store_drain_wait_ns", &[])
+            .unwrap()
+            .count();
+        assert!(waits >= 1, "the second fill never waited");
+        let ops = medium.ops();
+        let g = engine.geometry();
+        let first_block = ops
+            .iter()
+            .position(|&o| o == MediumOp::Persist(g.log_slot_off(0)))
+            .unwrap();
+        let second_block = ops
+            .iter()
+            .position(|&o| o == MediumOp::Persist(g.log_slot_off(1)))
+            .unwrap();
+        assert!(
+            ops[first_block..second_block].contains(&MediumOp::Fence),
+            "blocks reach the log one fence apart: {ops:?}"
+        );
+        engine.close().unwrap();
+    }
+
+    #[test]
+    fn failed_fence_on_an_off_lock_drain_kills_the_engine() {
+        let telemetry = Telemetry::new(0, 1 << 12);
+        let (engine, medium) = gated_engine(telemetry.clone());
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            medium.gate().fail_log_fence = true;
+            let writer = s.spawn(|| fill_epoch_one(&engine));
+            commit_while_in_flight(&engine, &medium, &telemetry);
+            drop(closed);
+            let err = writer.join().unwrap().unwrap_err();
+            assert!(matches!(err, StoreError::Io(_)), "{err:?}");
+        });
+        let io = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Io(_)));
+        assert!(io(engine.write_line(FILL, &line_of(1))));
+        assert!(io(engine.read_line(0).map(drop)));
+        assert!(io(engine.commit_epoch().map(drop)));
+        assert!(io(engine.drain_persister()));
+        assert_eq!(
+            engine.frontiers().2,
+            0,
+            "epoch 1 persisted without its undo block"
+        );
+        assert!(matches!(engine.close(), Err(StoreError::Io(_))));
+    }
+
+    #[test]
+    fn drain_histograms_count_every_drain() {
+        let cfg = small_cfg();
+        let medium = medium_for(&cfg);
+        let (engine, _) = Engine::open(medium, cfg, Telemetry::off()).unwrap();
+        for line in 0..FILL + 1 {
+            engine.write_line(line, &line_of(1)).unwrap();
+        }
+        engine.commit_epoch().unwrap();
+        engine.write_line(0, &line_of(2)).unwrap();
+        drop(
+            engine
+                .shared
+                .drain_buffer(engine.lock(), DrainPath::Forced)
+                .unwrap(),
+        );
+        engine.drain_persister().unwrap();
+        let snap = engine.registry().snapshot();
+        let per_path: Vec<u64> = ["inline", "forced", "boundary"]
+            .iter()
+            .map(|path| {
+                snap.histogram("picl_store_undo_drain_ns", &[("path", path)])
+                    .unwrap()
+                    .count()
+            })
+            .collect();
+        assert!(per_path.iter().all(|&n| n >= 1), "{per_path:?}");
+        assert_eq!(
+            per_path.iter().sum::<u64>(),
+            snap.counter("picl_store_drains_total", &[]).unwrap()
+        );
+        engine.close().unwrap();
+    }
+
     #[test]
     fn config_validation_rejects_wedgeable_logs() {
         assert!(EngineConfig::default().validate().is_ok());
@@ -1194,9 +1702,12 @@ mod tests {
             // place, so recovery must roll them back via the undo log.
             engine.write_line(0, &line_of(9)).unwrap();
             // Force the entry durable so the crash has something to undo.
-            let mut st = engine.lock();
-            engine.shared.drain(&mut st, true).unwrap();
-            drop(st);
+            drop(
+                engine
+                    .shared
+                    .drain_buffer(engine.lock(), DrainPath::Forced)
+                    .unwrap(),
+            );
             // Simulate the torn state: persist line 0's volatile (epoch 2)
             // bytes in place, as a later ACS pass would.
             engine

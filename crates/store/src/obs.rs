@@ -37,6 +37,13 @@ pub struct StoreObs {
     pub backlog_epochs: Histo,
     /// Time a committer spent blocked on the §IV-A in-order window.
     pub window_wait_ns: Histo,
+    /// Wall time of one undo drain, seal to fence done, by what sealed
+    /// the block: `[inline, forced, boundary]` (a writer's full buffer,
+    /// the persister's bloom hit, an epoch commit). One sample per drain.
+    pub undo_drain_ns: [Histo; 3],
+    /// Time a writer, a committer or the persister spent blocked on an
+    /// in-flight undo drain.
+    pub drain_wait_ns: Histo,
     /// Epochs not yet persisted, including the executing one
     /// (`sys_eid - persisted`).
     pub open_epochs: Gauge,
@@ -104,6 +111,17 @@ impl StoreObs {
             window_wait_ns: histogram(
                 "picl_store_window_wait_ns",
                 "Time committers spent blocked on the in-order window.",
+            ),
+            undo_drain_ns: ["inline", "forced", "boundary"].map(|path| {
+                reg.histogram(
+                    "picl_store_undo_drain_ns",
+                    &[("path", path)],
+                    "Undo drain wall time, seal to fence done, by what sealed the block.",
+                )
+            }),
+            drain_wait_ns: histogram(
+                "picl_store_drain_wait_ns",
+                "Time writers, committers and the persister spent blocked on an in-flight undo drain.",
             ),
             open_epochs: gauge(
                 "picl_store_open_epochs",

@@ -52,6 +52,10 @@ pub enum EventKind {
         bytes: u64,
         /// Whether a bloom-filter hit on an eviction forced the drain.
         forced: bool,
+        /// When the buffer was sealed: the drain covers exactly the
+        /// entries appended at or before this cycle. Drains that complete
+        /// as they seal (the simulator's) pass their own cycle.
+        sealed: Cycle,
     },
     /// A dirty eviction probed the undo buffer's bloom filter.
     BloomCheck {

@@ -77,10 +77,14 @@ fn jsonl_lines(ev: &Event) -> Vec<(u64, String)> {
             entries,
             bytes,
             forced,
+            sealed,
         } => vec![head(
             at,
             "undo_drain",
-            &format!("\"entries\":{entries},\"bytes\":{bytes},\"forced\":{forced}"),
+            &format!(
+                "\"entries\":{entries},\"bytes\":{bytes},\"forced\":{forced},\"sealed\":{}",
+                sealed.raw()
+            ),
         )],
         EventKind::BloomCheck { addr, hit } => vec![head(
             at,
@@ -339,6 +343,7 @@ pub fn write_chrome_trace<W: Write>(
                 entries,
                 bytes,
                 forced,
+                ..
             } => instant(
                 &mut out,
                 ts,
@@ -597,6 +602,7 @@ mod tests {
                 entries: 3,
                 bytes: 192,
                 forced: true,
+                sealed: Cycle(45),
             },
         );
         t.record(Cycle(100), None, EventKind::EpochCommit { eid: EpochId(1) });

@@ -40,6 +40,7 @@ fn fixed_snapshot() -> picl_telemetry::TelemetrySnapshot {
             entries: 8,
             bytes: 512,
             forced: false,
+            sealed: Cycle(80),
         },
     );
     t.record(Cycle(200), None, EventKind::EpochCommit { eid: EpochId(1) });
