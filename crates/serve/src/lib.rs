@@ -13,8 +13,9 @@
 //!   escalating to all shards in index order when a record needs lines
 //!   outside its home shard). Epoch commits are group commits: the
 //!   mutation that trips the cadence becomes the leader, publishes the
-//!   epoch boundary under all shard locks, and waits out the §IV-A
-//!   in-order window only after the other writers have been released.
+//!   epoch boundary under all shard locks, and writes the boundary undo
+//!   block and waits out the §IV-A in-order window only after the other
+//!   writers have been released.
 //!   [`session::FsyncKv`] is the fdatasync-per-mutation baseline the
 //!   benchmark compares against.
 //! - [`load`] — a YCSB-style load generator: zipfian key popularity over

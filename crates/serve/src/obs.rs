@@ -103,11 +103,14 @@ pub struct ServeObs {
     /// Mutations that escalated to all shard locks,
     /// `picl_serve_escalations_total`.
     pub escalations: Counter,
-    /// Each epoch commit's cost to its leader (phase-one publish plus
-    /// any in-order-window wait), `picl_serve_commit_leader_ns`.
+    /// Each epoch commit's cost to its leader (the publish, the boundary
+    /// block's write and fence, and any in-order-window wait),
+    /// `picl_serve_commit_leader_ns`.
     pub commit_leader_ns: Histo,
-    /// Leader's phase-one boundary publish under every shard lock,
-    /// `picl_serve_commit_publish_ns`.
+    /// Leader's hold of every shard lock: the engine's boundary publish
+    /// and the session-count snapshot. It ends before the boundary
+    /// block's write, which `picl_store_undo_drain_ns{path="boundary"}`
+    /// times. `picl_serve_commit_publish_ns`.
     pub commit_publish_ns: Histo,
     /// Leader's in-order-window stall (recorded only when the window
     /// was full), `picl_serve_commit_window_ns`.
@@ -170,11 +173,11 @@ impl ServeObs {
             ),
             commit_leader_ns: histogram(
                 "picl_serve_commit_leader_ns",
-                "Each epoch commit's cost to its leader (publish plus any window wait).",
+                "Each epoch commit's cost to its leader (publish, boundary block write, any window wait).",
             ),
             commit_publish_ns: histogram(
                 "picl_serve_commit_publish_ns",
-                "Group-commit leader's phase-one publish under all shard locks.",
+                "Group-commit leader's hold of all shard locks (boundary publish and count snapshot).",
             ),
             commit_window_ns: histogram(
                 "picl_serve_commit_window_ns",

@@ -16,14 +16,16 @@
 //! Epoch cadence is tracked by a global atomic mutation clock. The writer
 //! whose mutation trips the cadence becomes the *group-commit leader*: it
 //! acquires all shard locks (ordered, so it cannot deadlock against an
-//! escalated writer), runs the engine's phase-one
-//! [`picl_store::Engine::commit_epoch_async`] — publish the boundary,
-//! hand dirty lines to the persister — and snapshots the per-session op
-//! counters under that full exclusion, then *releases the shards before*
-//! waiting out the in-order window (only when the window is actually
-//! full). Followers run on into the next executing epoch while the
-//! leader absorbs the rare persist stall; the engine's background
-//! persister does its media I/O outside every lock throughout.
+//! escalated writer) and holds them only across the engine's publish in
+//! [`picl_store::Engine::commit_epoch_async`] — seal the boundary block,
+//! hand dirty lines to the persister, flip the epoch — and the per-session
+//! counter snapshot. The engine then calls the leader back, the leader
+//! *releases the shards*, and only after that does the engine write and
+//! fence the boundary block; the leader then waits out the in-order
+//! window (only when it is actually full). Followers run on into the next
+//! executing epoch while the leader absorbs the block's I/O and the rare
+//! persist stall; the engine's background persister does its media I/O
+//! outside every lock throughout.
 //!
 //! Per-session completed-op counters feed the kill -9 oracle: the commit
 //! hook reports, for each committed epoch, a safe lower bound of how far
@@ -73,8 +75,10 @@ const LOOKUP_RETRIES: usize = 64;
 /// leaks into the timed phase.
 pub const PRELOAD_BATCH: u64 = 256;
 
-/// Called with every shard lock held after each epoch commit with
-/// `(epoch id, per-session completed-op counts)`.
+/// Called once per epoch commit, in eid order, with `(epoch id,
+/// per-session completed-op counts)` — the counts snapshotted under every
+/// shard lock at the boundary — after the boundary block's fence and any
+/// in-order-window wait, with no shard lock held.
 pub type CommitHook = Box<dyn Fn(u64, &[u64]) + Send + Sync>;
 
 /// A KV backend the load harness can drive from many session threads.
@@ -263,10 +267,11 @@ impl ServeKv {
             .collect()
     }
 
-    /// Wall-clock nanoseconds each epoch commit cost its leader (phase-one
-    /// drain + the in-order-window stall when the window was full). The
-    /// tail of this histogram is the epoch-persist stall a writer can
-    /// observe; followers never wait on it.
+    /// Wall-clock nanoseconds each epoch commit cost its leader (the
+    /// boundary publish, the boundary block's write and fence, and the
+    /// in-order-window stall when the window was full). The tail of this
+    /// histogram is the epoch-persist stall a writer can observe;
+    /// followers never wait on it.
     pub fn commit_stalls(&self) -> Histogram {
         self.obs.commit_leader_ns.snapshot()
     }
@@ -295,41 +300,54 @@ impl ServeKv {
     }
 
     /// Group-commit leader path: closes the executing epoch. All shard
-    /// locks are held across the engine's phase-one commit and the
-    /// counter snapshot (the oracle's lower-bound rule), then released
-    /// before the in-order-window wait so followers continue into the
-    /// next executing epoch while the leader absorbs the stall.
+    /// locks are held across the engine's publish and the counter
+    /// snapshot (the oracle's lower-bound rule) and nothing more: the
+    /// engine calls back once the boundary is published, the callback
+    /// snapshots the counts and drops every shard guard, and only then
+    /// does the engine write and fence the boundary block. Followers run
+    /// on into the next executing epoch while the leader absorbs the
+    /// block's I/O and, when the window is actually full, the in-order
+    /// window wait.
     ///
-    /// The commit hook fires only *after* the window wait, and strictly
-    /// in eid order across pipelined leaders: an acknowledged epoch is
-    /// always within `window` of the durable frontier (the counts it
-    /// carries are still the boundary snapshot). Acknowledging at the
-    /// boundary instead would let a crash during the wait lose more
-    /// epochs than the RPO bound admits to an observer of the hook.
+    /// The commit hook fires only *after* the block's fence and the
+    /// window wait, and strictly in eid order across pipelined leaders:
+    /// an acknowledged epoch is always within `window` of the durable
+    /// frontier (the counts it carries are still the boundary snapshot).
+    /// Acknowledging at the boundary instead would let a crash during the
+    /// wait lose more epochs than the RPO bound admits to an observer of
+    /// the hook. A leader whose epoch was published takes its ack turn
+    /// even when the block's write or the wait failed — without firing
+    /// the hook — since a pipelined leader behind it waits for that turn.
     ///
     /// The stall histogram records the commit's own cost — the timer
-    /// starts once the shard locks are held, so it covers the phase-one
-    /// boundary publish plus any in-order-window wait, not the queueing
-    /// behind in-flight mutations (which followers no longer pay at
-    /// all) and not the ack sequencing behind earlier leaders.
+    /// starts once the shard locks are held, so it covers the publish,
+    /// the boundary block's write and any in-order-window wait, not the
+    /// queueing behind in-flight mutations and not the ack sequencing
+    /// behind earlier leaders.
     fn lead_commit(&self) -> Result<u64, StoreError> {
         let obs = &self.obs;
-        let (t0, ticket, counts) = {
-            let _all = self.lock_all();
-            let t0 = Instant::now();
-            let ticket = self.engine.commit_epoch_async()?;
+        let all = self.lock_all();
+        let t0 = Instant::now();
+        let mut issued = None;
+        let written = self.engine.commit_epoch_async(|ticket| {
             let counts = self.commit_hook.is_some().then(|| self.session_counts());
             obs.commit_publish_ns.record(t0.elapsed().as_nanos() as u64);
-            (t0, ticket, counts)
+            drop(all);
+            issued = Some((ticket, counts));
+        });
+        let Some((ticket, counts)) = issued else {
+            // Failed before the publish: no eid was taken.
+            return written.map(|ticket| ticket.eid);
         };
-        let waited = if ticket.window_full {
+        let waited = written.and_then(|ticket| {
+            if !ticket.window_full {
+                return Ok(());
+            }
             let w0 = Instant::now();
             let waited = self.engine.wait_window(ticket);
             obs.commit_window_ns.record(w0.elapsed().as_nanos() as u64);
             waited
-        } else {
-            Ok(())
-        };
+        });
         let ns = t0.elapsed().as_nanos() as u64;
         {
             // Take the ack turn even on a dead engine — skipping it would
@@ -745,6 +763,205 @@ mod tests {
         )
         .unwrap();
         (kv, medium)
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        closed: bool,
+        /// Log-region persists that have reached the gate so far.
+        log_persists: usize,
+        /// Fail the next fence of the thread whose log persist passes
+        /// the gate next.
+        fail_log_fence: bool,
+        doomed: Option<std::thread::ThreadId>,
+    }
+
+    /// A counting medium whose log-region persists block while the gate
+    /// is closed, so a test holds a commit leader inside its boundary
+    /// block write for as long as it needs.
+    struct LogGate {
+        inner: CountingMedium,
+        log_start: u64,
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    impl LogGate {
+        fn gate(&self) -> MutexGuard<'_, GateState> {
+            self.state.lock().unwrap()
+        }
+
+        /// Closes the gate until the returned guard drops (also on a
+        /// failed assertion, so a gated leader never outlives its test).
+        fn close(&self) -> GateClosed<'_> {
+            self.gate().closed = true;
+            GateClosed(self)
+        }
+
+        fn await_log_persists(&self, n: usize) {
+            let mut gate = self.gate();
+            while gate.log_persists < n {
+                gate = self.changed.wait(gate).unwrap();
+            }
+        }
+    }
+
+    struct GateClosed<'a>(&'a LogGate);
+
+    impl Drop for GateClosed<'_> {
+        fn drop(&mut self) {
+            self.0.gate().closed = false;
+            self.0.changed.notify_all();
+        }
+    }
+
+    impl PersistOps for LogGate {
+        fn persist(&self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            if offset >= self.log_start {
+                let mut gate = self.gate();
+                gate.log_persists += 1;
+                self.changed.notify_all();
+                while gate.closed {
+                    gate = self.changed.wait(gate).unwrap();
+                }
+                if std::mem::take(&mut gate.fail_log_fence) {
+                    gate.doomed = Some(std::thread::current().id());
+                }
+            }
+            self.inner.persist(offset, data)
+        }
+
+        fn fence(&self) -> std::io::Result<()> {
+            if self.gate().doomed == Some(std::thread::current().id()) {
+                return Err(std::io::Error::other("injected fence failure"));
+            }
+            self.inner.fence()
+        }
+
+        fn read(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read(offset, buf)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn stats(&self) -> picl_store::persist::PersistStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A two-session store over a [`LogGate`] whose commit hook logs the
+    /// acknowledged eids.
+    fn open_gated(mutations_per_epoch: u64) -> (ServeKv, Arc<LogGate>, Arc<Mutex<Vec<u64>>>) {
+        let cfg = EngineConfig {
+            lines: 256,
+            log_blocks: 64,
+            ..EngineConfig::default()
+        };
+        let g = Geometry {
+            lines: cfg.lines,
+            log_blocks: cfg.log_blocks,
+        };
+        let medium = Arc::new(LogGate {
+            inner: CountingMedium::new(g.total_len()),
+            log_start: g.log_slot_off(0),
+            state: Mutex::new(GateState::default()),
+            changed: Condvar::new(),
+        });
+        let (mut kv, _) = ServeKv::open(
+            Arc::clone(&medium) as _,
+            cfg,
+            Telemetry::off(),
+            mutations_per_epoch,
+            2,
+        )
+        .unwrap();
+        let acks = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&acks);
+        kv.set_commit_hook(Box::new(move |eid, _| sink.lock().unwrap().push(eid)));
+        (kv, medium, acks)
+    }
+
+    /// Polls until `done` holds, for at most five seconds.
+    fn within_5s(done: impl Fn() -> bool) -> bool {
+        let t0 = Instant::now();
+        while !done() {
+            if t0.elapsed() > std::time::Duration::from_secs(5) {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn followers_run_while_the_leader_writes_the_boundary_block() {
+        let (kv, medium, acks) = open_gated(2);
+        let leader_key = b"leader".as_slice();
+        let other_key = (0..)
+            .map(|i| format!("other{i}").into_bytes())
+            .find(|k| kv.shard_of(k) != kv.shard_of(leader_key))
+            .unwrap();
+        kv.put(1, &other_key, b"before").unwrap();
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            // The second mutation trips the cadence: this put leads
+            // epoch 1's commit and blocks inside its boundary write.
+            let leader = s.spawn(|| kv.put(0, leader_key, b"v"));
+            medium.await_log_persists(1);
+            let follower = s.spawn(|| {
+                kv.put(1, &other_key, b"after")?;
+                kv.get(1, &other_key)
+            });
+            assert!(
+                within_5s(|| follower.is_finished()),
+                "a follower waited on the leader's boundary write"
+            );
+            assert_eq!(follower.join().unwrap().unwrap(), Some(b"after".to_vec()));
+            assert!(!leader.is_finished(), "the boundary write is still gated");
+            assert!(
+                acks.lock().unwrap().is_empty(),
+                "epoch 1 acknowledged before its boundary block was fenced"
+            );
+            drop(closed);
+            leader.join().unwrap().unwrap();
+        });
+        assert_eq!(*acks.lock().unwrap(), [1]);
+        kv.put(0, leader_key, b"w").unwrap();
+        assert_eq!(*acks.lock().unwrap(), [1, 2], "one ack per eid, in order");
+        kv.close().unwrap();
+    }
+
+    #[test]
+    fn a_failed_boundary_fence_fails_the_leader_and_every_later_one() {
+        let (kv, medium, acks) = open_gated(1000);
+        kv.put(0, b"k", b"v").unwrap();
+        std::thread::scope(|s| {
+            let closed = medium.close();
+            medium.gate().fail_log_fence = true;
+            let first = s.spawn(|| kv.commit());
+            medium.await_log_persists(1);
+            // A pipelined leader publishes epoch 2 (an empty buffer needs
+            // no drain) while epoch 1's boundary block is gated, then
+            // queues for its ack turn behind epoch 1.
+            let second = s.spawn(|| kv.commit());
+            assert!(
+                within_5s(|| kv.engine().frontiers().1 == 2),
+                "the second leader never published"
+            );
+            drop(closed);
+            let err = first.join().unwrap().unwrap_err();
+            assert!(matches!(err, StoreError::Io(_)), "{err:?}");
+            assert!(
+                within_5s(|| second.is_finished()),
+                "the second leader hangs on the ack sequencer"
+            );
+            assert!(second.join().unwrap().is_err());
+        });
+        assert!(acks.lock().unwrap().is_empty(), "a failed epoch was acked");
+        assert!(kv.commit().is_err(), "a dead engine takes no new commit");
+        assert!(kv.close().is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! whose append would fill the next buffer while one is in flight waits —
 //! the paper's bounded 2 KB buffer. A failed write or fence kills the
 //! engine. The persister treats in-flight lines like buffered ones: it
-//! waits for the block's fence before it snapshots such a line.
+//! waits for the block's fence before it writes such a line back.
 //!
 //! # Recovery
 //!
@@ -56,15 +56,23 @@
 //! shard's read lock (no protocol mutex at all), writes hold the protocol
 //! mutex across the undo append and the image update (the two must be
 //! atomic against a commit) but release it before writing a sealed undo
-//! block, and the persister does its media I/O with *no* locks held — it
-//! bloom-probes and snapshots each line under the protocol mutex, then
-//! writes the snapshots back off to the side while the front end keeps
-//! executing. The snapshot discipline keeps undo-before-writeback intact:
-//! every undo entry covering a snapshotted line is durable (forced or
-//! awaited drain) at snapshot time, and any image write landing after the
-//! snapshot logs a pre-image that chains from the snapshot value, so
-//! rollback to the advancing frontier is correct whether or not those
-//! later entries survive. Lock order is protocol mutex, then shard.
+//! block. A commit publishes the boundary under the mutex and writes the
+//! boundary block after releasing it — and after the caller's
+//! `published` callback, which is where the serving layer drops its shard
+//! locks, so no front-end lock is held across that I/O either.
+//!
+//! The persister holds the mutex only for protocol state. Each cycle
+//! snapshots the queued lines' image bytes with *no* lock held, then takes
+//! the mutex once to bloom-probe the batch line by line (forcing or
+//! awaiting drains) and emit the write-backs, then writes the snapshots in
+//! place with no lock held while the front end keeps executing. The order
+//! keeps undo-before-writeback intact: every image write lands under the
+//! mutex after its undo append, so a probe taken after the snapshot finds
+//! every undo entry the snapshot can depend on and makes it durable before
+//! the write-back. Any image write landing after the snapshot logs a
+//! pre-image that chains from the snapshot value, so rollback to the
+//! advancing frontier is correct whether or not those later entries
+//! survive. Lock order is protocol mutex, then shard.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,8 +205,8 @@ pub struct EngineStats {
     pub line_writebacks: u64,
     /// Persister probes that found a volatile undo entry.
     pub bloom_hits: u64,
-    /// Cycles (logical ticks) writers spent stalled on the in-order
-    /// window.
+    /// Wake-ups committers spent stalled on the in-order window: one per
+    /// pass through [`Engine::wait_window`]'s wait loop, not a duration.
     pub window_stalls: u64,
 }
 
@@ -397,6 +405,9 @@ struct Shared {
     drained: Condvar,
     /// The protocol counters and pipeline instruments.
     obs: StoreObs,
+    /// Holds the persister between its snapshot and its probe pass.
+    #[cfg(test)]
+    snapshot_pause: tests::Pause,
 }
 
 impl Shared {
@@ -591,7 +602,7 @@ impl Shared {
         }
     }
 
-    /// The persister's bloom probe before it snapshots `line`. A line
+    /// The persister's bloom probe of a snapshotted `line`. A line
     /// whose newest undo entry is still volatile — buffered, or in the
     /// in-flight block — must not be written in place before that entry
     /// is fenced (undo-before-eviction): wait out the in-flight drain,
@@ -638,13 +649,15 @@ impl Shared {
     }
 
     /// Persists a run of consecutive committed epochs in three phases.
-    /// Phase 1, under the protocol mutex: per line, bloom-probe the undo
-    /// buffer and the in-flight block ([`Shared::probe_line`]) and
-    /// snapshot the line's image bytes. Phase 2, with no locks held:
-    /// write every snapshot in place and fence, while the front end
-    /// keeps executing — this is where the stall knob and the real media
-    /// latency live. Phase 3, relocked: advance the superblock's persist
-    /// frontier and wake stalled writers.
+    /// Phase 1 snapshots every queued line's image bytes with no lock
+    /// held, then takes the protocol mutex once for the batch and, line by
+    /// line, bloom-probes the undo buffer and the in-flight block
+    /// ([`Shared::probe_line`]: force or await the drain) and emits the
+    /// line's write-back. Phase 2, with no locks held: write every
+    /// snapshot in place and fence, while the front end keeps executing —
+    /// this is where the stall knob and the real media latency live.
+    /// Phase 3, relocked: advance the superblock's persist frontier and
+    /// wake stalled writers.
     ///
     /// Taking the whole queued backlog per cycle is the group-persist
     /// half of the serving layer's pipelined group commit: the line
@@ -654,20 +667,29 @@ impl Shared {
     /// what bounds a commit leader's in-order-window wait.
     ///
     /// Persisting the *snapshots* (not the live lines) is what keeps
-    /// this safe off-lock: all undo entries covering a snapshotted line
-    /// are durable at snapshot time, and any image write that lands
-    /// after the snapshot logs a pre-image chaining from the snapshot
-    /// value, so recovery to any epoch in the run rolls the line to its
-    /// end-of-epoch value whether or not those later entries survive
-    /// the crash.
+    /// this safe off-lock, and the order snapshot-then-probe is what
+    /// makes the snapshots safe to take without the mutex: every image
+    /// write lands under the mutex after its undo append, so a probe
+    /// taken after the snapshot sees (and makes durable) every undo entry
+    /// the snapshot can depend on. Any image write that lands after the
+    /// snapshot logs a pre-image chaining from the snapshot value, so
+    /// recovery to any epoch in the run rolls the line to its
+    /// end-of-epoch value whether or not those later entries survive the
+    /// crash.
     fn persist_epochs(&self, works: Vec<EpochWork>) -> Result<(), StoreError> {
-        let cycle_started = std::time::Instant::now();
-        let total: usize = works.iter().map(|w| w.lines.len()).sum();
-        let mut batch: Vec<(u32, [u8; LINE])> = Vec::with_capacity(total);
-        // `(lines, snapshot tick)` per epoch, for the per-epoch events.
+        let cycle_started = Instant::now();
+        let batch: Vec<(u32, [u8; LINE])> = works
+            .iter()
+            .flat_map(|work| &work.lines)
+            .map(|&line| (line, self.image.read(line)))
+            .collect();
+        #[cfg(test)]
+        self.snapshot_pause.hit();
+        // `(lines, scan start tick)` per epoch, for the per-epoch events.
         let mut spans: Vec<(u64, u64)> = Vec::with_capacity(works.len());
-        {
+        let probe_hold_ns = {
             let mut st = self.state.lock().expect("store engine poisoned");
+            let held = Instant::now();
             self.check_alive(&st)?;
             for (i, work) in works.iter().enumerate() {
                 debug_assert_eq!(
@@ -678,8 +700,6 @@ impl Shared {
                 let started = st.tick + 1;
                 for &line in &work.lines {
                     st = self.probe_line(st, line)?;
-                    batch.push((line, self.image.read(line)));
-                    self.obs.line_writebacks.inc();
                     self.emit(
                         &mut st,
                         EventKind::AcsLineWriteback {
@@ -687,9 +707,11 @@ impl Shared {
                         },
                     );
                 }
+                self.obs.line_writebacks.add(work.lines.len() as u64);
                 spans.push((work.lines.len() as u64, started));
             }
-        }
+            held.elapsed().as_nanos() as u64
+        };
         let stall_at = batch.len() / 2;
         let mut io: Result<(), std::io::Error> = Ok(());
         for (i, (line, data)) in batch.iter().enumerate() {
@@ -708,6 +730,7 @@ impl Shared {
             io = self.medium.fence();
         }
         let mut st = self.state.lock().expect("store engine poisoned");
+        let held = Instant::now();
         if let Err(e) = io {
             return Err(self.die(&mut st, e.to_string()));
         }
@@ -742,15 +765,18 @@ impl Shared {
             );
         }
         self.gc(&mut st);
-        self.obs
-            .cycle_ns
-            .record(cycle_started.elapsed().as_nanos() as u64);
-        self.obs.backlog_epochs.record(works.len() as u64);
         // The line-batch fence plus the superblock fence (forced drains
         // along the way count their own).
         self.obs.fences.add(2);
         self.publish_gauges(&st);
         self.done.notify_all();
+        let [probe, publish] = &self.obs.persister_lock_hold_ns;
+        probe.record(probe_hold_ns);
+        publish.record(held.elapsed().as_nanos() as u64);
+        self.obs
+            .cycle_ns
+            .record(cycle_started.elapsed().as_nanos() as u64);
+        self.obs.backlog_epochs.record(works.len() as u64);
         Ok(())
     }
 
@@ -938,6 +964,8 @@ impl Engine {
             done: Condvar::new(),
             drained: Condvar::new(),
             obs: StoreObs::register(&registry),
+            #[cfg(test)]
+            snapshot_pause: tests::Pause::default(),
         });
         shared.publish_gauges(&shared.state.lock().expect("store engine poisoned"));
         let worker = Arc::clone(&shared);
@@ -1066,28 +1094,43 @@ impl Engine {
     ///
     /// Fails after the medium has died.
     pub fn commit_epoch(&self) -> Result<u64, StoreError> {
-        let ticket = self.commit_epoch_async()?;
+        let ticket = self.commit_epoch_async(|_| ())?;
         if ticket.window_full {
             self.wait_window(ticket)?;
         }
         Ok(ticket.eid)
     }
 
-    /// Phase one of a commit: under the protocol mutex, seals the undo
-    /// buffer as the boundary block (first waiting out any drain in
-    /// flight), publishes the epoch boundary, hands the epoch's dirty
-    /// lines to the persister, and begins the next executing epoch; then,
-    /// with the mutex released, writes and fences the boundary block. It
-    /// never waits for the persister. The returned ticket says whether
-    /// the §IV-A in-order window was full at the boundary — if so, a
-    /// caller honoring the RPO bound must [`Engine::wait_window`] before
-    /// treating the commit as flow-controlled, but it may do useful work
-    /// (or let other writers run) first.
+    /// Phase one of a commit. The *publish*, under the protocol mutex:
+    /// waits out any drain in flight, seals the undo buffer as the
+    /// boundary block, publishes the epoch boundary, hands the epoch's
+    /// dirty lines to the persister, and begins the next executing epoch.
+    /// Then, with the mutex released, it calls `published` with the
+    /// ticket, and only after that writes and fences the boundary block
+    /// and wakes the persister. It never waits for the persister.
+    ///
+    /// `published` is where a caller ends whatever exclusion it held
+    /// across the publish (the serving layer's shard locks), so the
+    /// block's media I/O runs outside it. The block is written whatever
+    /// `published` does — a panic in it is re-raised only after the
+    /// write — so no path leaves a sealed block in flight for good.
+    ///
+    /// The ticket says whether the §IV-A in-order window was full at the
+    /// boundary — if so, a caller honoring the RPO bound must
+    /// [`Engine::wait_window`] before treating the commit as
+    /// flow-controlled, but it may do useful work (or let other writers
+    /// run) first.
     ///
     /// # Errors
     ///
-    /// Fails after the medium has died.
-    pub fn commit_epoch_async(&self) -> Result<CommitTicket, StoreError> {
+    /// Fails after the medium has died — before the publish (then
+    /// `published` never runs), or on the boundary write after it (then
+    /// `published` has run, and the epoch is committed but not
+    /// acknowledgeable).
+    pub fn commit_epoch_async(
+        &self,
+        published: impl FnOnce(CommitTicket),
+    ) -> Result<CommitTicket, StoreError> {
         let mut st = self.lock();
         self.shared.check_alive(&st)?;
         if !st.buffer.is_empty() {
@@ -1109,16 +1152,24 @@ impl Engine {
                 eid: EpochId(eid + 1),
             },
         );
-        let window_full = st.committed - st.persisted > self.shared.cfg.window;
+        let ticket = CommitTicket {
+            eid,
+            window_full: st.committed - st.persisted > self.shared.cfg.window,
+        };
         self.shared.publish_gauges(&st);
         drop(st);
-        if let Some(block) = sealed {
-            drop(self.shared.write_sealed(block)?);
-        }
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| published(ticket)));
+        let written = match sealed {
+            Some(block) => self.shared.write_sealed(block).map(drop),
+            None => Ok(()),
+        };
         // Woken before the boundary block is durable, the persister's
         // probe would only stall on the block's lines.
         self.shared.work.notify_one();
-        Ok(CommitTicket { eid, window_full })
+        if let Err(panic) = ran {
+            std::panic::resume_unwind(panic);
+        }
+        written.map(|()| ticket)
     }
 
     /// Phase two of a commit: blocks until the in-order window has room
@@ -1418,6 +1469,57 @@ mod tests {
         }
     }
 
+    #[derive(Default)]
+    struct PauseState {
+        armed: bool,
+        paused: bool,
+    }
+
+    /// The persister's pause point between its snapshot and its probe
+    /// pass: while armed, [`Pause::hit`] blocks the persister.
+    #[derive(Default)]
+    pub(super) struct Pause {
+        state: Mutex<PauseState>,
+        changed: Condvar,
+    }
+
+    impl Pause {
+        pub(super) fn hit(&self) {
+            let mut st = self.state.lock().unwrap();
+            if st.armed {
+                st.paused = true;
+                self.changed.notify_all();
+                while st.armed {
+                    st = self.changed.wait(st).unwrap();
+                }
+            }
+        }
+
+        /// Arms the pause until the returned guard drops (also on a
+        /// failed assertion, so a paused persister never outlives its
+        /// test).
+        fn arm(&self) -> Armed<'_> {
+            self.state.lock().unwrap().armed = true;
+            Armed(self)
+        }
+
+        fn await_paused(&self) {
+            let mut st = self.state.lock().unwrap();
+            while !st.paused {
+                st = self.changed.wait(st).unwrap();
+            }
+        }
+    }
+
+    struct Armed<'a>(&'a Pause);
+
+    impl Drop for Armed<'_> {
+        fn drop(&mut self) {
+            self.0.state.lock().unwrap().armed = false;
+            self.0.changed.notify_all();
+        }
+    }
+
     fn gated_engine(telemetry: Telemetry) -> (Engine, Arc<GatedMedium>) {
         let cfg = small_cfg();
         let medium = GatedMedium::new(&cfg);
@@ -1439,7 +1541,7 @@ mod tests {
     /// instead of snapshotting it.
     fn commit_while_in_flight(engine: &Engine, medium: &GatedMedium, telemetry: &Telemetry) {
         medium.await_log_persists(1);
-        engine.commit_epoch_async().unwrap();
+        engine.commit_epoch_async(|_| ()).unwrap();
         let line_0 = LineAddr::new(0);
         let reached = loop {
             let snap = telemetry.snapshot();
@@ -1510,6 +1612,106 @@ mod tests {
         );
         assert_eq!(engine.frontiers().2, 1);
         engine.close().unwrap();
+    }
+
+    /// Epoch 1 writes line 0 and commits; while the persister is paused
+    /// between its snapshot of line 0 and its probe pass, epoch 2
+    /// rewrites the line. The medium dies at op `kill_at`, if given; the
+    /// engine is then abandoned with epoch 2 volatile — the crash.
+    /// Returns the medium.
+    fn rewrite_while_the_persister_is_paused(kill_at: Option<u64>) -> Arc<GatedMedium> {
+        let (engine, medium) = gated_engine(Telemetry::off());
+        if let Some(op) = kill_at {
+            medium.inner.kill_at_op(op);
+        }
+        let paused = engine.shared.snapshot_pause.arm();
+        engine.write_line(0, &line_of(0xA)).unwrap();
+        engine.commit_epoch().unwrap();
+        engine.shared.snapshot_pause.await_paused();
+        engine.write_line(0, &line_of(0xB)).unwrap();
+        drop(paused);
+        // Fails once the medium is dead; the crash is the point.
+        let _ = engine.drain_persister();
+        medium
+    }
+
+    #[test]
+    fn persister_probes_after_its_snapshot() {
+        let medium = rewrite_while_the_persister_is_paused(None);
+        let cfg = small_cfg();
+        let g = Geometry {
+            lines: cfg.lines,
+            log_blocks: cfg.log_blocks,
+        };
+        let ops = medium.ops();
+        let data_0 = ops
+            .iter()
+            .position(|&o| o == MediumOp::Persist(g.data_off(0)))
+            .expect("line 0 was written back");
+        // Slot 0 holds epoch 1's boundary block, slot 1 the rewrite's.
+        let rewrite = ops
+            .iter()
+            .position(|&o| o == MediumOp::Persist(g.log_slot_off(1)));
+        assert!(
+            rewrite.is_some_and(|at| at < data_0 && ops[at..data_0].contains(&MediumOp::Fence)),
+            "line 0 written back before the rewrite's undo block was fenced: {ops:?}"
+        );
+        // A death right after the write-back, or at any later op of the
+        // cycle, or none at all: recovery lands on an end-of-epoch value.
+        for kill_at in data_0 as u64 + 1..=ops.len() as u64 {
+            let medium = rewrite_while_the_persister_is_paused(Some(kill_at));
+            let survivor = Arc::new(CountingMedium::from_image(medium.inner.surviving_image()));
+            let (engine, report) = Engine::open(survivor, cfg.clone(), Telemetry::off()).unwrap();
+            let end_of_epoch = [line_of(0), line_of(0xA)][report.recovered_to as usize];
+            assert_eq!(
+                engine.read_line(0).unwrap(),
+                end_of_epoch,
+                "death at op {kill_at} recovered to epoch {} with epoch 2's bytes",
+                report.recovered_to
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_in_published_still_writes_the_boundary_block() {
+        let cfg = small_cfg();
+        let (engine, _) = Engine::open(medium_for(&cfg), cfg, Telemetry::off()).unwrap();
+        engine.write_line(0, &line_of(1)).unwrap();
+        let commit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.commit_epoch_async(|_| panic!("the caller's callback failed"))
+        }));
+        assert!(commit.is_err(), "the panic reaches the caller");
+        assert_eq!(engine.stats().drains, 1, "the sealed block was written");
+        // Nothing is left in flight: the next commit seals and writes.
+        engine.write_line(1, &line_of(2)).unwrap();
+        assert_eq!(engine.commit_epoch().unwrap(), 2);
+        engine.drain_persister().unwrap();
+        assert_eq!(engine.close().unwrap().drains, 2);
+    }
+
+    #[test]
+    fn persister_lock_holds_are_recorded_once_per_cycle() {
+        let cfg = small_cfg();
+        let (engine, _) = Engine::open(medium_for(&cfg), cfg, Telemetry::off()).unwrap();
+        for e in 0..6u32 {
+            engine.write_line(e, &line_of(1)).unwrap();
+            engine.write_line(e + 8, &line_of(2)).unwrap();
+            engine.commit_epoch().unwrap();
+        }
+        engine.drain_persister().unwrap();
+        let snap = engine.registry().snapshot();
+        let count =
+            |name: &str, labels: &[(&str, &str)]| snap.histogram(name, labels).unwrap().count();
+        let cycles = count("picl_store_persister_cycle_ns", &[]);
+        assert!(cycles >= 1);
+        for phase in ["probe", "publish"] {
+            assert_eq!(
+                count("picl_store_persister_lock_hold_ns", &[("phase", phase)]),
+                cycles,
+                "phase {phase}"
+            );
+        }
+        assert_eq!(engine.close().unwrap().line_writebacks, 12);
     }
 
     #[test]
@@ -1766,7 +1968,7 @@ mod tests {
             engine.write_line(e % 8, &line_of(e as u8)).unwrap();
             engine.write_line((e + 1) % 8, &line_of(e as u8)).unwrap();
             let t0 = std::time::Instant::now();
-            let ticket = engine.commit_epoch_async().unwrap();
+            let ticket = engine.commit_epoch_async(|_| ()).unwrap();
             assert_eq!(ticket.eid, u64::from(e) + 1);
             assert!(
                 t0.elapsed() < std::time::Duration::from_millis(15),
@@ -1782,7 +1984,7 @@ mod tests {
         assert!(full_seen, "a 20 ms persist stall never filled window 2");
         // A ticket whose window already drained returns immediately.
         engine.drain_persister().unwrap();
-        let ticket = engine.commit_epoch_async().unwrap();
+        let ticket = engine.commit_epoch_async(|_| ()).unwrap();
         engine.wait_window(ticket).unwrap();
         engine.close().unwrap();
     }

@@ -32,6 +32,12 @@ pub struct StoreObs {
     /// Wall time of one persister cycle (snapshot + in-place writes +
     /// fences + superblock).
     pub cycle_ns: Histo,
+    /// How long one persister cycle held the protocol mutex, by phase:
+    /// `[probe, publish]` — the batch's probe pass (from taking the mutex
+    /// to releasing it; a forced drain inside it releases the mutex while
+    /// its block is written) and the frontier advance (superblock write
+    /// included). One sample per phase per completed cycle.
+    pub persister_lock_hold_ns: [Histo; 2],
     /// Committed epochs retired per persister cycle (the backlog the
     /// batched fence amortizes over).
     pub backlog_epochs: Histo,
@@ -104,6 +110,13 @@ impl StoreObs {
                 "picl_store_persister_cycle_ns",
                 "Wall time of one persister cycle (snapshot, in-place writes, fences, superblock).",
             ),
+            persister_lock_hold_ns: ["probe", "publish"].map(|phase| {
+                reg.histogram(
+                    "picl_store_persister_lock_hold_ns",
+                    &[("phase", phase)],
+                    "Protocol-mutex hold of one persister cycle, by phase (probe pass, frontier publish).",
+                )
+            }),
             backlog_epochs: histogram(
                 "picl_store_persister_backlog_epochs",
                 "Committed epochs retired per persister cycle.",
